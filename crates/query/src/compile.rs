@@ -1,17 +1,18 @@
 //! Predicate compilation: turn a row-local MMQL expression into a
 //! **closure tree** evaluated directly against the borrowed row.
 //!
-//! The interpreter pays three per-row costs a hot filter never needs:
-//! it allocates an [`Env`](crate::eval::Env) binding, deep-clones the
-//! row out of the environment on every `Var` reference, and re-walks
-//! the AST with dynamic dispatch on every node. A [`CompiledPred`] pays
-//! none of them — member chains become a captured
-//! [`FieldPath`](udbms_core::FieldPath) resolved with
-//! [`Value::get_path`] on the borrowed row, constant subexpressions are
-//! folded once at compile time via [`eval_const`], and operators reuse
-//! the interpreter's own `apply_unary`/`apply_binary`, so results
-//! (including errors and short-circuit behaviour) are identical by
-//! construction.
+//! The interpreter already reads by reference: a `Var` or member chain
+//! borrows the row bound in the [`Env`](crate::eval::Env) and clones
+//! only the leaf it projects. What a hot filter still does not need is
+//! the per-row `Env` binding and the AST walk with dynamic dispatch on
+//! every node. A [`CompiledPred`] pays neither — member chains become a
+//! captured [`FieldPath`](udbms_core::FieldPath) resolved with
+//! [`Value::get_path`] on the borrowed row (the interpreter's member
+//! walk uses the same per-step [`Value::get_field`]), constant
+//! subexpressions are folded once at compile time via [`eval_const`],
+//! and operators reuse the interpreter's own
+//! `apply_unary`/`apply_binary`, so results (including errors and
+//! short-circuit behaviour) are identical by construction.
 //!
 //! Compilation is **total or nothing**: any node the compiler cannot
 //! prove row-local (function calls, subqueries, other variables, bind
@@ -114,7 +115,7 @@ fn compile_node(expr: &Expr, var: &str) -> Option<Node> {
         Expr::Unary { op, expr } => {
             let op = *op;
             let inner = compile_node(expr, var)?;
-            Some(Box::new(move |row| apply_unary(op, inner(row)?)))
+            Some(Box::new(move |row| apply_unary(op, &inner(row)?)))
         }
         Expr::Binary { op, lhs, rhs } => {
             let op = *op;
@@ -128,7 +129,7 @@ fn compile_node(expr: &Expr, var: &str) -> Option<Node> {
                     BinOp::Or if lv.is_truthy() => return Ok(Value::Bool(true)),
                     _ => {}
                 }
-                apply_binary(op, lv, r(row)?)
+                apply_binary(op, &lv, &r(row)?)
             }))
         }
         // calls, subqueries, params, foreign vars: interpreter territory

@@ -132,7 +132,7 @@ fn eval_pure(expr: &Expr) -> Result<Value> {
             }
             Ok(Value::Object(m))
         }
-        Expr::Unary { op, expr } => apply_unary(*op, eval_pure(expr)?),
+        Expr::Unary { op, expr } => apply_unary(*op, &eval_pure(expr)?),
         Expr::Binary { op, lhs, rhs } => {
             let l = eval_pure(lhs)?;
             // short-circuit still applies
@@ -142,7 +142,7 @@ fn eval_pure(expr: &Expr) -> Result<Value> {
                 _ => {}
             }
             let r = eval_pure(rhs)?;
-            apply_binary(*op, l, r)
+            apply_binary(*op, &l, &r)
         }
         _ => Err(Error::Invalid(
             "non-constant expression in constant context".into(),
@@ -150,82 +150,150 @@ fn eval_pure(expr: &Expr) -> Result<Value> {
     }
 }
 
-/// Evaluate an expression against an environment with transaction access
-/// (`DOCUMENT`, `NEIGHBORS`, `XPATH` on stored docs, subqueries).
-pub fn eval(expr: &Expr, env: &Env, txn: &mut Txn) -> Result<Value> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Param { name, line, col } => Err(Error::parse(
-            "mmql",
-            *line,
-            *col,
-            format!("unbound parameter `@{name}` (execute with Params or bind first)"),
-        )),
-        Expr::Var(name) => env
-            .get(name)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("variable `{name}`"))),
-        Expr::Member { base, steps } => {
-            let mut cur = eval(base, env, txn)?;
-            for step in steps {
-                cur = match step {
-                    MemberStep::Field(f) => cur.get_field(f).clone(),
-                    MemberStep::Index(e) => {
-                        let idx = eval(e, env, txn)?;
-                        match (&cur, &idx) {
-                            (Value::Array(items), Value::Int(i)) => {
-                                let i = *i;
-                                if i >= 0 {
-                                    items.get(i as usize).cloned().unwrap_or(Value::Null)
-                                } else {
-                                    // negative indexes count from the end
-                                    let n = items.len() as i64;
-                                    items
-                                        .get((n + i).max(0) as usize)
-                                        .cloned()
-                                        .unwrap_or(Value::Null)
-                                }
-                            }
-                            (Value::Object(_), Value::Str(k)) => cur.get_field(k).clone(),
-                            _ => Value::Null,
-                        }
-                    }
-                };
-            }
-            Ok(cur)
+/// A value produced by the evaluator without copying its inputs: a
+/// borrow of a value bound in the [`Env`] or written in the statement, a
+/// storage handle shared with the MVCC chain (`DOCUMENT`), or a freshly
+/// computed value. Reads through it as a [`Value`];
+/// [`Val::into_owned`] clones only when an owned result is needed.
+#[derive(Debug)]
+pub(crate) enum Val<'a> {
+    Borrowed(&'a Value),
+    Shared(Arc<Value>),
+    Owned(Value),
+}
+
+impl std::ops::Deref for Val<'_> {
+    type Target = Value;
+
+    fn deref(&self) -> &Value {
+        match self {
+            Val::Borrowed(v) => v,
+            Val::Shared(v) => v,
+            Val::Owned(v) => v,
         }
-        Expr::Array(items) => items
-            .iter()
-            .map(|e| eval(e, env, txn))
-            .collect::<Result<Vec<_>>>()
-            .map(Value::Array),
+    }
+}
+
+impl Val<'_> {
+    /// The value as one of its own: clones a borrow or a handle still
+    /// shared elsewhere, moves a computed value.
+    pub(crate) fn into_owned(self) -> Value {
+        match self {
+            Val::Borrowed(v) => v.clone(),
+            Val::Shared(v) => Arc::unwrap_or_clone(v),
+            Val::Owned(v) => v,
+        }
+    }
+}
+
+/// Evaluate an expression against an environment with transaction access
+/// (`DOCUMENT`, `NEIGHBORS`, `XPATH` on stored docs, subqueries). Only
+/// the result is cloned: variables, member steps and arguments are read
+/// by reference.
+pub fn eval(expr: &Expr, env: &Env, txn: &mut Txn) -> Result<Value> {
+    eval_ref(expr, env, txn).map(Val::into_owned)
+}
+
+/// Evaluate for a `LET` binding: a variable or a `DOCUMENT` read binds
+/// the `Arc` it already is, a computed value is wrapped once.
+pub(crate) fn eval_shared(expr: &Expr, env: &Env, txn: &mut Txn) -> Result<Arc<Value>> {
+    match expr {
+        Expr::Var(name) => lookup(env, name).cloned(),
+        _ => Ok(match eval_ref(expr, env, txn)? {
+            Val::Shared(v) => v,
+            other => Arc::new(other.into_owned()),
+        }),
+    }
+}
+
+fn lookup<'a>(env: &'a Env, name: &str) -> Result<&'a Arc<Value>> {
+    env.get_shared(name)
+        .ok_or_else(|| Error::NotFound(format!("variable `{name}`")))
+}
+
+/// Evaluate by reference: variables, literals and member chains over
+/// them borrow; only computed results are owned.
+pub(crate) fn eval_ref<'a>(expr: &'a Expr, env: &'a Env, txn: &mut Txn) -> Result<Val<'a>> {
+    Ok(match expr {
+        Expr::Literal(v) => Val::Borrowed(v),
+        Expr::Param { name, line, col } => {
+            return Err(Error::parse(
+                "mmql",
+                *line,
+                *col,
+                format!("unbound parameter `@{name}` (execute with Params or bind first)"),
+            ))
+        }
+        Expr::Var(name) => Val::Borrowed(lookup(env, name)?.as_ref()),
+        Expr::Member { base, steps } => match eval_ref(base, env, txn)? {
+            Val::Borrowed(root) => Val::Borrowed(walk(root, steps, env, txn)?),
+            // a storage handle or computed base: walk it in place and
+            // clone only the leaf
+            base => Val::Owned(walk(&base, steps, env, txn)?.clone()),
+        },
+        Expr::Array(items) => Val::Owned(Value::Array(
+            items
+                .iter()
+                .map(|e| eval(e, env, txn))
+                .collect::<Result<Vec<_>>>()?,
+        )),
         Expr::Object(fields) => {
             let mut m = BTreeMap::new();
             for (k, e) in fields {
                 m.insert(k.clone(), eval(e, env, txn)?);
             }
-            Ok(Value::Object(m))
+            Val::Owned(Value::Object(m))
         }
-        Expr::Unary { op, expr } => apply_unary(*op, eval(expr, env, txn)?),
+        Expr::Unary { op, expr } => Val::Owned(apply_unary(*op, &*eval_ref(expr, env, txn)?)?),
         Expr::Binary { op, lhs, rhs } => {
-            let l = eval(lhs, env, txn)?;
+            let l = eval_ref(lhs, env, txn)?;
             match op {
-                BinOp::And if !l.is_truthy() => return Ok(Value::Bool(false)),
-                BinOp::Or if l.is_truthy() => return Ok(Value::Bool(true)),
+                BinOp::And if !l.is_truthy() => return Ok(Val::Owned(Value::Bool(false))),
+                BinOp::Or if l.is_truthy() => return Ok(Val::Owned(Value::Bool(true))),
                 _ => {}
             }
-            let r = eval(rhs, env, txn)?;
-            apply_binary(*op, l, r)
+            let r = eval_ref(rhs, env, txn)?;
+            Val::Owned(apply_binary(*op, &l, &r)?)
         }
-        Expr::Call { name, args } => call_function(name, args, env, txn),
-        Expr::Subquery(body) => {
-            let rows = crate::exec::run_body(body, env, txn)?;
-            Ok(Value::Array(rows))
+        Expr::Call { name, args } => call_function(name, args, env, txn)?,
+        Expr::Subquery(body) => Val::Owned(Value::Array(crate::exec::run_body(body, env, txn)?)),
+    })
+}
+
+/// Walk member steps from `root` by reference. Field steps are
+/// [`Value::get_field`], the lookup [`Value::get_path`] (and so a
+/// compiled predicate) makes per step; index expressions are evaluated
+/// as they are reached.
+fn walk<'v>(root: &'v Value, steps: &[MemberStep], env: &Env, txn: &mut Txn) -> Result<&'v Value> {
+    let mut cur = root;
+    for step in steps {
+        cur = match step {
+            MemberStep::Field(f) => cur.get_field(f),
+            MemberStep::Index(e) => index(cur, &*eval_ref(e, env, txn)?),
+        };
+    }
+    Ok(cur)
+}
+
+/// `base[idx]`: an array position (a negative one counts from the end)
+/// or an object key. An index outside `-len..len`, or a base and index
+/// of any other shape, yields `Null`.
+fn index<'v>(base: &'v Value, idx: &Value) -> &'v Value {
+    const NULL: &Value = &Value::Null;
+    match (base, idx) {
+        (Value::Array(items), Value::Int(i)) => {
+            let pos = if *i < 0 { items.len() as i64 + i } else { *i };
+            usize::try_from(pos)
+                .ok()
+                .and_then(|p| items.get(p))
+                .unwrap_or(NULL)
         }
+        (Value::Object(_), Value::Str(k)) => base.get_field(k),
+        _ => NULL,
     }
 }
 
-pub(crate) fn apply_unary(op: UnOp, v: Value) -> Result<Value> {
+pub(crate) fn apply_unary(op: UnOp, v: &Value) -> Result<Value> {
     match op {
         UnOp::Not => Ok(Value::Bool(!v.is_truthy())),
         UnOp::Neg => match v {
@@ -236,9 +304,9 @@ pub(crate) fn apply_unary(op: UnOp, v: Value) -> Result<Value> {
     }
 }
 
-pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
+pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     use std::cmp::Ordering;
-    let ord = || l.canonical_cmp(&r);
+    let ord = || l.canonical_cmp(r);
     Ok(match op {
         BinOp::Eq => Value::Bool(ord() == Ordering::Equal),
         BinOp::Ne => Value::Bool(ord() != Ordering::Equal),
@@ -249,14 +317,14 @@ pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
         BinOp::And => Value::Bool(l.is_truthy() && r.is_truthy()),
         BinOp::Or => Value::Bool(l.is_truthy() || r.is_truthy()),
         BinOp::In => match r {
-            Value::Array(items) => Value::Bool(items.contains(&l)),
+            Value::Array(items) => Value::Bool(items.contains(l)),
             _ => Value::Bool(false),
         },
-        BinOp::Like => match (&l, &r) {
+        BinOp::Like => match (l, r) {
             (Value::Str(s), Value::Str(p)) => Value::Bool(like_match(p, s)),
             _ => Value::Bool(false),
         },
-        BinOp::Add => match (&l, &r) {
+        BinOp::Add => match (l, r) {
             (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_add(*b)),
             (Value::Str(a), Value::Str(b)) => Value::Str(format!("{a}{b}")),
             (Value::Array(a), Value::Array(b)) => {
@@ -264,25 +332,25 @@ pub(crate) fn apply_binary(op: BinOp, l: Value, r: Value) -> Result<Value> {
                 out.extend(b.iter().cloned());
                 Value::Array(out)
             }
-            _ => numeric_op(&l, &r, "+", |a, b| a + b)?,
+            _ => numeric_op(l, r, "+", |a, b| a + b)?,
         },
-        BinOp::Sub => match (&l, &r) {
+        BinOp::Sub => match (l, r) {
             (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_sub(*b)),
-            _ => numeric_op(&l, &r, "-", |a, b| a - b)?,
+            _ => numeric_op(l, r, "-", |a, b| a - b)?,
         },
-        BinOp::Mul => match (&l, &r) {
+        BinOp::Mul => match (l, r) {
             (Value::Int(a), Value::Int(b)) => Value::Int(a.wrapping_mul(*b)),
-            _ => numeric_op(&l, &r, "*", |a, b| a * b)?,
+            _ => numeric_op(l, r, "*", |a, b| a * b)?,
         },
         BinOp::Div => {
-            let (a, b) = both_numeric(&l, &r, "/")?;
+            let (a, b) = both_numeric(l, r, "/")?;
             if b == 0.0 {
                 Value::Null
             } else {
                 Value::Float(a / b)
             }
         }
-        BinOp::Mod => match (&l, &r) {
+        BinOp::Mod => match (l, r) {
             (Value::Int(a), Value::Int(b)) => {
                 if *b == 0 {
                     Value::Null
@@ -315,24 +383,25 @@ fn numeric_op(l: &Value, r: &Value, name: &str, f: impl Fn(f64, f64) -> f64) -> 
     Ok(Value::Float(f(a, b)))
 }
 
-/// Dispatch a function call.
-fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<Value> {
+/// Dispatch a function call. Arguments are evaluated by reference, so a
+/// function reads a bound document in place instead of copying it.
+fn call_function<'a>(name: &str, args: &'a [Expr], env: &'a Env, txn: &mut Txn) -> Result<Val<'a>> {
     let argc = args.len();
     let wrong_arity = |want: &str| {
         Err(Error::Invalid(format!(
             "{name}() expects {want} argument(s), got {argc}"
         )))
     };
-    let mut vals: Vec<Value> = Vec::with_capacity(argc);
+    let mut vals: Vec<Val<'a>> = Vec::with_capacity(argc);
     for a in args {
-        vals.push(eval(a, env, txn)?);
+        vals.push(eval_ref(a, env, txn)?);
     }
     match name {
         "LENGTH" | "COUNT" => {
             if argc != 1 {
                 return wrong_arity("1");
             }
-            Ok(Value::Int(match &vals[0] {
+            Ok(Value::Int(match &*vals[0] {
                 Value::Array(a) => a.len() as i64,
                 Value::Object(o) => o.len() as i64,
                 Value::Str(s) => s.chars().count() as i64,
@@ -408,13 +477,13 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
                 .as_array()
                 .ok_or_else(|| Error::type_err("Array", vals[0].type_name()))?
                 .to_vec();
-            items.push(vals[1].clone());
+            items.push((*vals[1]).clone());
             Ok(Value::Array(items))
         }
         "CONCAT" => {
             let mut s = String::new();
             for v in &vals {
-                match v {
+                match &**v {
                     Value::Null => {}
                     Value::Str(t) => s.push_str(t),
                     other => s.push_str(&other.to_string()),
@@ -449,7 +518,7 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             if argc != 2 {
                 return wrong_arity("2");
             }
-            match (&vals[0], &vals[1]) {
+            match (&*vals[0], &*vals[1]) {
                 (Value::Str(s), Value::Str(sub)) => Ok(Value::Bool(s.contains(sub.as_str()))),
                 (Value::Array(a), v) => Ok(Value::Bool(a.contains(v))),
                 _ => Ok(Value::Bool(false)),
@@ -459,7 +528,7 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             if argc != 1 {
                 return wrong_arity("1");
             }
-            match &vals[0] {
+            match &*vals[0] {
                 Value::Int(i) if name == "ABS" => Ok(Value::Int(i.abs())),
                 Value::Int(i) => Ok(Value::Int(*i)),
                 Value::Float(f) => Ok(match name {
@@ -475,7 +544,7 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             if argc != 1 {
                 return wrong_arity("1");
             }
-            Ok(Value::Str(match &vals[0] {
+            Ok(Value::Str(match &*vals[0] {
                 Value::Str(s) => s.clone(),
                 other => other.to_string(),
             }))
@@ -484,7 +553,7 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             if argc != 1 {
                 return wrong_arity("1");
             }
-            Ok(match &vals[0] {
+            Ok(match &*vals[0] {
                 Value::Int(i) => Value::Int(*i),
                 Value::Float(f) => Value::Float(*f),
                 Value::Str(s) => match s.trim().parse::<i64>() {
@@ -499,16 +568,18 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
                 _ => Value::Null,
             })
         }
-        "COALESCE" | "NOT_NULL" => Ok(vals
-            .into_iter()
-            .find(|v| !v.is_null())
-            .unwrap_or(Value::Null)),
+        "COALESCE" | "NOT_NULL" => {
+            return Ok(vals
+                .into_iter()
+                .find(|v| !v.is_null())
+                .unwrap_or(Val::Owned(Value::Null)))
+        }
         "MERGE" => {
             if argc != 2 {
                 return wrong_arity("2");
             }
-            let mut base = vals[0].clone();
-            base.merge_from(vals[1].clone());
+            let mut base = (*vals[0]).clone();
+            base.merge_from((*vals[1]).clone());
             Ok(base)
         }
         "KEYS" => {
@@ -548,16 +619,20 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             if argc != 2 {
                 return wrong_arity("2");
             }
-            let coll = vals[0].expect_str("DOCUMENT collection")?.to_string();
-            let key = Key::new(vals[1].clone())?;
-            Ok(txn.get(&coll, &key)?.unwrap_or(Value::Null))
+            let coll = vals[0].expect_str("DOCUMENT collection")?;
+            let key = Key::new((*vals[1]).clone())?;
+            // the stored record itself, not a copy of it
+            return Ok(match txn.get_shared(coll, &key)? {
+                Some(doc) => Val::Shared(doc),
+                None => Val::Owned(Value::Null),
+            });
         }
         "NEIGHBORS" => {
             if !(3..=4).contains(&argc) {
                 return wrong_arity("3 or 4");
             }
-            let graph = vals[0].expect_str("NEIGHBORS graph")?.to_string();
-            let key = Key::new(vals[1].clone())?;
+            let graph = vals[0].expect_str("NEIGHBORS graph")?;
+            let key = Key::new((*vals[1]).clone())?;
             let dir = match vals[2]
                 .expect_str("NEIGHBORS direction")?
                 .to_ascii_uppercase()
@@ -568,12 +643,12 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
                 "ANY" | "BOTH" => Direction::Both,
                 other => return Err(Error::Invalid(format!("unknown direction `{other}`"))),
             };
-            let label = match vals.get(3) {
+            let label = match vals.get(3).map(|v| &**v) {
                 Some(Value::Str(s)) => Some(s.clone()),
                 Some(Value::Null) | None => None,
                 Some(other) => return Err(Error::type_err("Str (label)", other.type_name())),
             };
-            let keys = txn.neighbors(&graph, &key, dir, label.as_deref())?;
+            let keys = txn.neighbors(graph, &key, dir, label.as_deref())?;
             Ok(Value::Array(
                 keys.into_iter().map(Key::into_value).collect(),
             ))
@@ -585,10 +660,11 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             let expr_s = vals[1].expect_str("XPATH expression")?;
             let compiled = udbms_xml::XPath::parse(expr_s)?;
             if vals[0].is_null() {
-                return Ok(Value::Array(Vec::new()));
+                Ok(Value::Array(Vec::new()))
+            } else {
+                let node = udbms_xml::value_to_xml(&vals[0])?;
+                Ok(Value::Array(compiled.values(&node)))
             }
-            let node = udbms_xml::value_to_xml(&vals[0])?;
-            Ok(Value::Array(compiled.values(&node)))
         }
         "XPATH_FIRST" => {
             if argc != 2 {
@@ -597,17 +673,19 @@ fn call_function(name: &str, args: &[Expr], env: &Env, txn: &mut Txn) -> Result<
             let expr_s = vals[1].expect_str("XPATH_FIRST expression")?;
             let compiled = udbms_xml::XPath::parse(expr_s)?;
             if vals[0].is_null() {
-                return Ok(Value::Null);
+                Ok(Value::Null)
+            } else {
+                let node = udbms_xml::value_to_xml(&vals[0])?;
+                Ok(compiled
+                    .values(&node)
+                    .into_iter()
+                    .next()
+                    .unwrap_or(Value::Null))
             }
-            let node = udbms_xml::value_to_xml(&vals[0])?;
-            Ok(compiled
-                .values(&node)
-                .into_iter()
-                .next()
-                .unwrap_or(Value::Null))
         }
         other => Err(Error::NotFound(format!("function `{other}`"))),
     }
+    .map(Val::Owned)
 }
 
 /// Shared array aggregation used by both the function library and
@@ -709,6 +787,82 @@ mod tests {
         assert_eq!(eval_str("{a: 1}[\"a\"]"), Value::Int(1));
         assert_eq!(eval_str("{a: 1}.missing"), Value::Null);
         assert_eq!(eval_str("[1][9]"), Value::Null);
+        assert_eq!(eval_str("[1, 2, 3][-3]"), Value::Int(1));
+        assert_eq!(eval_str("[1, 2, 3][-4]"), Value::Null, "before the first");
+    }
+
+    /// Evaluate `RETURN {src}` with `r` bound to a nested row.
+    fn eval_on_row(src: &str) -> Result<Value> {
+        let engine = Engine::new();
+        let mut txn = engine.begin(Isolation::Snapshot);
+        let row = obj! {"n" => 3, "s" => "str", "tags" => arr!["a", "b"], "o" => obj! {"k" => 1}};
+        let env = Env::new().with("r", row).with("i", Value::Int(1));
+        let stmt = parser::parse(&format!("RETURN {src}")).unwrap();
+        let crate::ast::Statement::Query(body) = stmt else {
+            panic!()
+        };
+        eval(&body.ret, &env, &mut txn)
+    }
+
+    #[test]
+    fn member_access_on_bound_rows() {
+        let at = |src: &str| eval_on_row(src).unwrap();
+        // a missing field, also further down the chain
+        assert_eq!(at("r.missing"), Value::Null);
+        assert_eq!(at("r.missing.deeper[0]"), Value::Null);
+        // a field of a non-object
+        assert_eq!(at("r.n.field"), Value::Null);
+        assert_eq!(at("r.tags.field"), Value::Null);
+        // an index on a non-array
+        assert_eq!(at("r.n[0]"), Value::Null);
+        assert_eq!(at("r.s[0]"), Value::Null);
+        // a dynamic index expression, evaluated against the environment
+        assert_eq!(at("r.tags[i]"), Value::from("b"));
+        assert_eq!(at("r.tags[i - 2]"), Value::from("b"));
+        assert_eq!(at("r.tags[i + 5]"), Value::Null);
+        assert_eq!(at("r.tags[\"0\"]"), Value::Null, "string index on an array");
+        // a string index on an object, static or computed
+        assert_eq!(at("r[\"o\"][\"k\"]"), Value::Int(1));
+        assert_eq!(at("r[CONCAT(\"t\", \"ags\")][0]"), Value::from("a"));
+        assert_eq!(at("r.o[1]"), Value::Null, "int index on an object");
+        // an error inside an index expression propagates
+        assert!(eval_on_row("r.tags[-r.s]").is_err());
+        assert!(eval_on_row("unbound.field").is_err());
+    }
+
+    #[test]
+    fn let_document_binds_the_record_or_null() {
+        let engine = Engine::new();
+        engine
+            .create_collection(CollectionSchema::key_value("kv"))
+            .unwrap();
+        let mut setup = engine.begin(Isolation::Snapshot);
+        setup.put("kv", Key::int(1), obj! {"v" => 10}).unwrap();
+        setup.commit().unwrap();
+        let run = |txn: &mut Txn, src: &str| {
+            let stmt = parser::parse(src).unwrap();
+            crate::exec::execute(&stmt, txn).unwrap()
+        };
+
+        let mut txn = engine.begin(Isolation::Snapshot);
+        // a missing key binds Null
+        let out = run(
+            &mut txn,
+            "LET d = DOCUMENT(\"kv\", 404) RETURN [d, d == NULL, d.v]",
+        );
+        assert_eq!(out, vec![arr![Value::Null, true, Value::Null]]);
+        // the transaction's own buffered put is what DOCUMENT sees
+        txn.put("kv", Key::int(1), obj! {"v" => 11}).unwrap();
+        txn.put("kv", Key::int(2), obj! {"v" => 20}).unwrap();
+        let out = run(
+            &mut txn,
+            "LET a = DOCUMENT(\"kv\", 1) LET b = DOCUMENT(\"kv\", 2) RETURN [a.v, b.v]",
+        );
+        assert_eq!(out, vec![arr![11, 20]]);
+        // a concurrent snapshot still sees the committed record only
+        let mut other = engine.begin(Isolation::Snapshot);
+        let out = run(&mut other, "LET a = DOCUMENT(\"kv\", 1) RETURN a");
+        assert_eq!(out, vec![obj! {"v" => 10}]);
     }
 
     #[test]

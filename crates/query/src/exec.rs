@@ -5,6 +5,11 @@
 //! * collection sources iterate `Arc`-shared rows (`scan_shared` /
 //!   `select_shared`) — no per-row deep clone between storage and the
 //!   expression evaluator;
+//! * the evaluator reads by reference: variables, member chains,
+//!   function arguments and operands borrow the bound rows, and only the
+//!   leaf a `RETURN`, `SORT` or `COLLECT` keeps is cloned. `FILTER`
+//!   tests truthiness on the borrow, and `LET x = DOCUMENT(…)` binds the
+//!   storage handle itself (`Txn::get_shared`), not a copy;
 //! * a residual `FILTER` that is row-local compiles once per `FOR`
 //!   clause into a [`CompiledPred`] closure tree and runs against the
 //!   borrowed row, skipping the `Env` binding for rejected rows;
@@ -20,7 +25,7 @@ use udbms_relational::Predicate;
 
 use crate::ast::*;
 use crate::compile::CompiledPred;
-use crate::eval::{aggregate_array, eval, eval_const, Env};
+use crate::eval::{aggregate_array, eval, eval_const, eval_ref, eval_shared, Env};
 
 /// Execute a parsed statement inside a transaction.
 pub fn execute(stmt: &Statement, txn: &mut Txn) -> Result<Vec<Value>> {
@@ -169,7 +174,7 @@ pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value
                         } else {
                             let child = env.with_shared(var, item);
                             if let Some(res) = &residual {
-                                if !eval(res, &child, txn)?.is_truthy() {
+                                if !eval_ref(res, &child, txn)?.is_truthy() {
                                     continue;
                                 }
                             }
@@ -185,7 +190,7 @@ pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value
             Clause::Filter(expr) => {
                 let mut next = Vec::with_capacity(rows.len());
                 for env in rows {
-                    if eval(expr, &env, txn)?.is_truthy() {
+                    if eval_ref(expr, &env, txn)?.is_truthy() {
                         next.push(env);
                     }
                 }
@@ -194,8 +199,8 @@ pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value
             Clause::Let { var, value } => {
                 let mut next = Vec::with_capacity(rows.len());
                 for env in rows {
-                    let v = eval(value, &env, txn)?;
-                    next.push(env.with(var, v));
+                    let v = eval_shared(value, &env, txn)?;
+                    next.push(env.with_shared(var, v));
                 }
                 rows = next;
             }

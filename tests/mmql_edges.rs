@@ -187,3 +187,23 @@ fn sort_is_canonical_across_types() {
         ]
     );
 }
+
+#[test]
+fn array_index_outside_bounds_is_null_on_both_ends() {
+    let e = engine();
+    let at = |i: &str| q(&e, &format!("LET a = [1, 2, 3] RETURN a[{i}]"));
+    assert_eq!(at("0"), vec![Value::Int(1)]);
+    assert_eq!(at("2"), vec![Value::Int(3)]);
+    assert_eq!(at("-1"), vec![Value::Int(3)]);
+    assert_eq!(at("-3"), vec![Value::Int(1)], "-len is the first element");
+    assert_eq!(at("3"), vec![Value::Null]);
+    assert_eq!(at("10"), vec![Value::Null]);
+    assert_eq!(at("-4"), vec![Value::Null], "one past -len");
+    assert_eq!(at("-10"), vec![Value::Null]);
+    // the same rule on a stored row's member chain
+    let out = q(
+        &e,
+        "FOR r IN t FILTER r._id == 1 RETURN [[r.v][-1], [r.v][-2]]",
+    );
+    assert_eq!(out, vec![Value::Array(vec![Value::Int(1), Value::Null])]);
+}
