@@ -49,6 +49,7 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 use parking_lot::{LockRank, TrackedAtomicU64, TrackedMutex, TrackedRwLock};
 
@@ -68,6 +69,42 @@ use crate::wal::{Wal, WalRecord};
 
 /// Maximum automatic retries in [`Engine::run`].
 const MAX_RETRIES: usize = 64;
+
+/// Conflict retries in [`Engine::run`] that restart at once: a conflict
+/// with a commit that has just finished usually clears on the next try.
+const RETRY_IMMEDIATE: usize = 3;
+
+/// Retries after the immediate ones that first yield the CPU, so a
+/// conflicting writer descheduled mid-commit can finish.
+const RETRY_YIELDS: usize = 3;
+
+/// The first backoff sleep after the yields; it doubles per retry up to
+/// [`RETRY_SLEEP_CAP`]. Without it, clients that keep conflicting on one
+/// hot record restart in lockstep and can exhaust [`MAX_RETRIES`].
+const RETRY_SLEEP_BASE: Duration = Duration::from_micros(20);
+
+/// Upper bound on one backoff sleep in [`Engine::run`].
+const RETRY_SLEEP_CAP: Duration = Duration::from_millis(2);
+
+/// Pause before conflict retry number `retry` (0-based) of
+/// [`Engine::run`]: immediate, then yield, then a capped doubling sleep
+/// scaled into `[0.5, 1.0)` by a jitter derived from `salt` (the
+/// conflicted transaction's id), so colliding clients spread out.
+fn retry_pause(retry: usize, salt: u64) {
+    if retry < RETRY_IMMEDIATE {
+        return;
+    }
+    if retry < RETRY_IMMEDIATE + RETRY_YIELDS {
+        std::thread::yield_now();
+        return;
+    }
+    let doublings = (retry - RETRY_IMMEDIATE - RETRY_YIELDS).min(16) as u32;
+    let sleep = RETRY_SLEEP_BASE
+        .saturating_mul(1 << doublings)
+        .min(RETRY_SLEEP_CAP);
+    let jitter = udbms_core::SplitMix64::new(salt).f64();
+    std::thread::sleep(sleep.mul_f64(0.5 + jitter / 2.0));
+}
 
 /// Default storage shard count (see [`EngineConfig::shards`]).
 pub const DEFAULT_SHARDS: usize = 8;
@@ -654,15 +691,23 @@ impl Engine {
     }
 
     /// Run a closure in a transaction, retrying (with a fresh snapshot) on
-    /// conflicts up to an internal limit. Non-conflict errors abort and
-    /// propagate.
+    /// conflicts up to an internal limit. The first retries restart at
+    /// once; later ones yield, then back off with a capped, jittered
+    /// doubling sleep (see [`retry_pause`]). Non-conflict errors abort
+    /// and propagate.
     pub fn run<T>(
         &self,
         isolation: Isolation,
         mut body: impl FnMut(&mut Txn) -> Result<T>,
     ) -> Result<T> {
-        for _ in 0..MAX_RETRIES {
+        // the id of the last conflicted transaction seeds the jitter
+        let mut salt = 0;
+        for retry in 0..MAX_RETRIES {
+            if retry > 0 {
+                retry_pause(retry - 1, salt);
+            }
             let mut txn = self.begin(isolation);
+            salt = txn.id().map_or(0, |id| id.0);
             match body(&mut txn) {
                 Ok(out) => match txn.commit() {
                     Ok(_) => return Ok(out),
@@ -823,10 +868,7 @@ impl Txn {
         if let Some(buffered) = state.own_write(&rid) {
             return Ok(buffered.clone());
         }
-        let read_ts = match state.isolation {
-            Isolation::ReadCommitted => Ts::MAX,
-            _ => state.snapshot,
-        };
+        let read_ts = state.read_ts();
         let (seen, value) = inner.storage.visible_value_with_ts(&rid, read_ts);
         state.note_read(rid, seen);
         Ok(value)
@@ -843,10 +885,7 @@ impl Txn {
     fn read_many(&mut self, rids: &[RecordId]) -> Result<Vec<Option<Arc<Value>>>> {
         let inner = Arc::clone(&self.inner);
         let state = self.state()?;
-        let read_ts = match state.isolation {
-            Isolation::ReadCommitted => Ts::MAX,
-            _ => state.snapshot,
-        };
+        let read_ts = state.read_ts();
         let mut out: Vec<Option<Arc<Value>>> = vec![None; rids.len()];
         // (shard, position) of every read the write buffer cannot answer
         let mut pending: Vec<(usize, usize)> = Vec::new();
@@ -1094,31 +1133,26 @@ impl Txn {
 
     /// [`Txn::scan`] handing out shared handles: the zero-copy scan —
     /// every returned row is an `Arc` bump on the stored version, never
-    /// a value tree clone.
+    /// a value tree clone. Without a read set to record or an own write
+    /// on the collection, storage's merged run is already the answer and
+    /// is returned as is; otherwise the rows are re-keyed and overlaid.
     pub fn scan_shared(&mut self, collection: &str) -> Result<Vec<(Key, Arc<Value>)>> {
         let (id, _) = self.resolve(collection)?;
         let inner = Arc::clone(&self.inner);
         let state = self.state()?;
-        let read_ts = match state.isolation {
-            Isolation::ReadCommitted => Ts::MAX,
-            _ => state.snapshot,
-        };
-        let mut rows: std::collections::BTreeMap<Key, Arc<Value>> =
-            if state.isolation == Isolation::Serializable {
+        let scan = inner.storage.scan_iter(id, state.read_ts(), None, None);
+        if state.scan_is_overlay_free(id) {
+            return Ok(scan.map(|(k, _, v)| (k, v)).collect());
+        }
+        let serializable = state.isolation == Isolation::Serializable;
+        let mut rows = std::collections::BTreeMap::new();
+        for (key, seen, value) in scan {
+            if serializable {
                 // a serializable scan observes every record it returns
-                let mut rows = std::collections::BTreeMap::new();
-                for (key, seen, value) in inner.storage.scan_iter(id, read_ts, None, None) {
-                    state.note_read(RecordId::new(id, key.clone()), seen);
-                    rows.insert(key, value);
-                }
-                rows
-            } else {
-                inner
-                    .storage
-                    .scan_iter(id, read_ts, None, None)
-                    .map(|(k, _, v)| (k, v))
-                    .collect()
-            };
+                state.note_read(RecordId::new(id, key.clone()), seen);
+            }
+            rows.insert(key, value);
+        }
         for (rid, w) in &state.writes {
             if rid.collection != id {
                 continue;
@@ -1150,20 +1184,14 @@ impl Txn {
         let (id, _) = self.resolve(collection)?;
         let inner = Arc::clone(&self.inner);
         let state = self.state()?;
-        let pushable = state.isolation != Isolation::Serializable
-            && !state.writes.keys().any(|rid| rid.collection == id);
-        if !pushable {
+        if !state.scan_is_overlay_free(id) {
             let mut rows = self.scan_shared(collection)?;
             rows.truncate(limit);
             return Ok(rows);
         }
-        let read_ts = match state.isolation {
-            Isolation::ReadCommitted => Ts::MAX,
-            _ => state.snapshot,
-        };
         Ok(inner
             .storage
-            .scan_iter(id, read_ts, None, Some(limit))
+            .scan_iter(id, state.read_ts(), None, Some(limit))
             .map(|(k, _, v)| (k, v))
             .collect())
     }
@@ -1199,11 +1227,7 @@ impl Txn {
         let (id, _) = self.resolve(collection)?;
         // a limit may only cut the walk short when nothing after the cut
         // could change the result set or the read-set contract
-        let pushable = {
-            let state = self.state()?;
-            state.isolation != Isolation::Serializable
-                && !state.writes.keys().any(|rid| rid.collection == id)
-        };
+        let pushable = self.state()?.scan_is_overlay_free(id);
         match limit {
             Some(n) if !pushable => {
                 let mut out = self.select_impl(collection, pred, None)?;
@@ -1355,10 +1379,7 @@ impl Txn {
         let (id, _) = self.resolve(collection)?;
         let inner = Arc::clone(&self.inner);
         let state = self.state()?;
-        let read_ts = match state.isolation {
-            Isolation::ReadCommitted => Ts::MAX,
-            _ => state.snapshot,
-        };
+        let read_ts = state.read_ts();
         if let Some(n) = limit {
             // streaming path: predicate + limit pushed into the k-way
             // merge, each shard walked once under its read lock
@@ -1385,12 +1406,14 @@ impl Txn {
             let parallel = inner.storage.shard_count() > 1
                 && scan_parallelism_available()
                 && inner.storage.directory_len(id) >= PARALLEL_SCAN_MIN_KEYS;
-            for (key, _, value) in inner
+            let matches = inner
                 .storage
-                .filter_scan(id, read_ts, parallel, |v| pred.matches(v))
-            {
-                rows.insert(key, value);
+                .filter_scan(id, read_ts, parallel, |v| pred.matches(v));
+            if state.scan_is_overlay_free(id) {
+                // the merged run is already key-ordered and final
+                return Ok(matches.into_iter().map(|(_, _, v)| v).collect());
             }
+            rows.extend(matches.into_iter().map(|(k, _, v)| (k, v)));
         }
         for (rid, w) in &state.writes {
             if rid.collection != id {

@@ -5,6 +5,14 @@
 //! with snapshot `S` sees the newest version with `commit_ts <= S`.
 //! Chains are pruned by [`Storage::gc`] below the oldest active snapshot.
 //!
+//! Chains live **per collection**: each collection holds a hash map from
+//! key to chain plus an ordered `BTreeSet<Key>` directory of the same
+//! keys. A point read does two hash probes (collection, then key); the
+//! visibility walk behind every scan resolves the collection once and
+//! then follows the directory in key order, probing each chain by
+//! `&Key` — no key is copied for a row the walk does not return. Dropping
+//! a collection removes one map entry.
+//!
 //! Since the sharding refactor the engine no longer holds one [`Storage`]
 //! behind one lock: [`ShardedStorage`] partitions the key space into N
 //! hash-addressed [`Shard`]s, each an independently locked `Storage` plus
@@ -12,8 +20,9 @@
 //! shard; batches lock each touched shard once; `scan` merges the
 //! per-shard sorted runs into one key-ordered iteration.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 use parking_lot::{LockRank, TrackedRwLock};
@@ -58,10 +67,27 @@ pub struct Version {
 /// The multi-version store.
 #[derive(Debug, Default)]
 pub struct Storage {
-    chains: HashMap<RecordId, Vec<Version>>,
-    /// Ordered key directory per collection (keys that have *ever* had a
-    /// version; liveness is decided by the chain at read time).
-    directories: HashMap<CollectionId, BTreeSet<Key>>,
+    /// Version chains, grouped by collection so a visibility walk looks
+    /// each chain up by `&Key` and a drop removes one entry. Collection
+    /// ids are catalog-assigned integers, not user input, so the cheap
+    /// FNV hasher serves the extra probe every point read makes here.
+    collections: HashMap<CollectionId, CollectionChains, BuildHasherDefault<StableHasher>>,
+}
+
+/// One collection's version chains plus its ordered key directory.
+#[derive(Debug, Default)]
+struct CollectionChains {
+    /// The version chain of every key, in commit order.
+    chains: HashMap<Key, Vec<Version>>,
+    /// Ordered key directory: exactly the keys of `chains` (keys that
+    /// have *ever* had a version; liveness is decided by the chain at
+    /// read time).
+    directory: BTreeSet<Key>,
+}
+
+/// The newest version of a chain with `commit_ts <= snapshot`.
+fn visible_in(chain: &[Version], snapshot: Ts) -> Option<&Version> {
+    chain.iter().rev().find(|v| v.commit_ts <= snapshot)
 }
 
 impl Storage {
@@ -70,13 +96,18 @@ impl Storage {
         Storage::default()
     }
 
+    /// The version chain of a record, if it was ever written.
+    fn chain(&self, rid: &RecordId) -> Option<&[Version]> {
+        self.collections
+            .get(&rid.collection)?
+            .chains
+            .get(&rid.key)
+            .map(Vec::as_slice)
+    }
+
     /// The newest version with `commit_ts <= snapshot`, if any.
     pub fn visible(&self, rid: &RecordId, snapshot: Ts) -> Option<&Version> {
-        self.chains
-            .get(rid)?
-            .iter()
-            .rev()
-            .find(|v| v.commit_ts <= snapshot)
+        visible_in(self.chain(rid)?, snapshot)
     }
 
     /// The visible *value* (resolving tombstones to `None`).
@@ -87,46 +118,45 @@ impl Storage {
     /// The newest committed version regardless of snapshot (read-committed
     /// reads and commit-time validation).
     pub fn latest(&self, rid: &RecordId) -> Option<&Version> {
-        self.chains.get(rid).and_then(|c| c.last())
+        self.chain(rid).and_then(<[Version]>::last)
     }
 
     /// Install a new version (called by the commit protocol, which
     /// guarantees `commit_ts` is newer than everything in the chain).
     pub fn install(&mut self, rid: RecordId, commit_ts: Ts, value: Option<Arc<Value>>) {
         debug_assert!(
-            self.chains
-                .get(&rid)
-                .and_then(|c| c.last())
+            self.latest(&rid)
                 .is_none_or(|last| last.commit_ts < commit_ts),
             "commit timestamps must be monotone per chain"
         );
-        self.directories
-            .entry(rid.collection)
-            .or_default()
-            .insert(rid.key.clone());
-        self.chains
-            .entry(rid)
-            .or_default()
-            .push(Version { commit_ts, value });
+        let coll = self.collections.entry(rid.collection).or_default();
+        let version = Version { commit_ts, value };
+        match coll.chains.entry(rid.key) {
+            Entry::Occupied(mut chain) => chain.get_mut().push(version),
+            Entry::Vacant(slot) => {
+                coll.directory.insert(slot.key().clone());
+                slot.insert(vec![version]);
+            }
+        }
     }
 
     /// The single visibility walk behind `scan`, `scan_with_ts` and
     /// `live_keys`: every live `(key, commit_ts, value)` of a collection
-    /// at `snapshot`, in key order, yielded lazily by reference.
+    /// at `snapshot`, in key order, yielded lazily by reference. One
+    /// collection lookup, then one chain probe by `&Key` per row.
     pub fn visible_entries(
         &self,
         collection: CollectionId,
         snapshot: Ts,
     ) -> impl Iterator<Item = (&Key, Ts, &Arc<Value>)> {
-        self.directories
+        self.collections
             .get(&collection)
             .into_iter()
-            .flatten()
-            .filter_map(move |k| {
-                let rid = RecordId::new(collection, k.clone());
-                let v = self.visible(&rid, snapshot)?;
-                let value = v.value.as_ref()?;
-                Some((k, v.commit_ts, value))
+            .flat_map(move |coll| {
+                coll.directory.iter().filter_map(move |k| {
+                    let v = visible_in(coll.chains.get(k)?, snapshot)?;
+                    Some((k, v.commit_ts, v.value.as_ref()?))
+                })
             })
     }
 
@@ -162,19 +192,20 @@ impl Storage {
     /// Number of keys ever written to a collection in this store (live or
     /// not); used as a cheap scan-size estimate.
     pub fn directory_len(&self, collection: CollectionId) -> usize {
-        self.directories.get(&collection).map_or(0, BTreeSet::len)
+        self.collections
+            .get(&collection)
+            .map_or(0, |c| c.directory.len())
     }
 
     /// Every value present in any retained version of a collection
     /// (used to rebuild over-approximating secondary indexes after GC).
     pub fn all_retained(&self, collection: CollectionId) -> Vec<(Key, Vec<&Value>)> {
-        let Some(dir) = self.directories.get(&collection) else {
+        let Some(coll) = self.collections.get(&collection) else {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for k in dir {
-            let rid = RecordId::new(collection, k.clone());
-            if let Some(chain) = self.chains.get(&rid) {
+        for k in &coll.directory {
+            if let Some(chain) = coll.chains.get(k) {
                 let vals: Vec<&Value> = chain.iter().filter_map(|v| v.value.as_deref()).collect();
                 if !vals.is_empty() {
                     out.push((k.clone(), vals));
@@ -191,54 +222,54 @@ impl Storage {
     pub fn gc(&mut self, watermark: Ts) -> (usize, usize) {
         let mut versions_removed = 0usize;
         let mut chains_removed = 0usize;
-        let mut dead: Vec<RecordId> = Vec::new();
-        for (rid, chain) in &mut self.chains {
-            // index of the newest version visible at the watermark
-            let keep_from = chain
-                .iter()
-                .rposition(|v| v.commit_ts <= watermark)
-                .unwrap_or(0);
-            if keep_from > 0 {
-                versions_removed += keep_from;
-                chain.drain(..keep_from);
-            }
-            if chain.len() == 1 && chain[0].value.is_none() && chain[0].commit_ts <= watermark {
-                versions_removed += 1;
-                dead.push(rid.clone());
-            }
-        }
-        for rid in dead {
-            self.chains.remove(&rid);
-            if let Some(dir) = self.directories.get_mut(&rid.collection) {
-                dir.remove(&rid.key);
-            }
-            chains_removed += 1;
+        for coll in self.collections.values_mut() {
+            let CollectionChains { chains, directory } = coll;
+            chains.retain(|key, chain| {
+                // index of the newest version visible at the watermark
+                let keep_from = chain
+                    .iter()
+                    .rposition(|v| v.commit_ts <= watermark)
+                    .unwrap_or(0);
+                if keep_from > 0 {
+                    versions_removed += keep_from;
+                    chain.drain(..keep_from);
+                }
+                let dead =
+                    chain.len() == 1 && chain[0].value.is_none() && chain[0].commit_ts <= watermark;
+                if dead {
+                    versions_removed += 1;
+                    chains_removed += 1;
+                    directory.remove(key);
+                }
+                !dead
+            });
         }
         (versions_removed, chains_removed)
     }
 
+    /// Every chain of every collection.
+    fn all_chains(&self) -> impl Iterator<Item = &Vec<Version>> {
+        self.collections.values().flat_map(|c| c.chains.values())
+    }
+
     /// Total number of stored versions.
     pub fn version_count(&self) -> usize {
-        self.chains.values().map(Vec::len).sum()
+        self.all_chains().map(Vec::len).sum()
     }
 
     /// Number of record chains.
     pub fn chain_count(&self) -> usize {
-        self.chains.len()
+        self.collections.values().map(|c| c.chains.len()).sum()
     }
 
     /// Length of the longest chain (E6 GC-ablation metric).
     pub fn max_chain_len(&self) -> usize {
-        self.chains.values().map(Vec::len).max().unwrap_or(0)
+        self.all_chains().map(Vec::len).max().unwrap_or(0)
     }
 
     /// Drop every record of a collection (DDL `drop`).
     pub fn drop_collection(&mut self, collection: CollectionId) {
-        if let Some(dir) = self.directories.remove(&collection) {
-            for k in dir {
-                self.chains.remove(&RecordId::new(collection, k));
-            }
-        }
+        self.collections.remove(&collection);
     }
 }
 
@@ -251,8 +282,8 @@ impl Storage {
 /// shard placement — replay must re-derive it).
 struct StableHasher(u64);
 
-impl StableHasher {
-    fn new() -> StableHasher {
+impl Default for StableHasher {
+    fn default() -> StableHasher {
         StableHasher(0xcbf2_9ce4_8422_2325)
     }
 }
@@ -312,7 +343,7 @@ impl Hasher for StableHasher {
 /// on its key, so WAL replay and cross-shard-count recovery agree.
 pub fn shard_of(key: &Key, shards: usize) -> usize {
     debug_assert!(shards > 0);
-    let mut h = StableHasher::new();
+    let mut h = StableHasher::default();
     key.hash(&mut h);
     (h.finish() % shards as u64) as usize
 }
@@ -920,10 +951,19 @@ mod tests {
         let mut s = Storage::new();
         s.install(rid(1), Ts(10), some(Value::Int(1)));
         s.install(rid(1), Ts(20), None);
+        s.install(rid(3), Ts(15), some(Value::Int(3)));
         let (_, dead) = s.gc(Ts(30));
         assert_eq!(dead, 1);
-        assert_eq!(s.chain_count(), 0);
-        assert!(s.live_keys(C, Ts(40)).is_empty());
+        assert_eq!(s.chain_count(), 1);
+        assert!(s.visible(&rid(1), Ts::MAX).is_none(), "chain is gone");
+        assert_eq!(s.live_keys(C, Ts(40)), vec![Key::int(3)]);
+        assert_eq!(s.scan_with_ts(C, Ts::MAX).len(), 1);
+        assert_eq!(s.directory_len(C), 1, "directory follows the chains");
+        // a key GC removed starts a fresh chain and directory entry
+        s.install(rid(1), Ts(40), some(Value::Int(10)));
+        assert_eq!(seen(&s, &rid(1), Ts(40)), Some(Value::Int(10)));
+        assert_eq!(s.live_keys(C, Ts(40)), vec![Key::int(1), Key::int(3)]);
+        assert_eq!(s.chain_count(), 2);
         // tombstone newer than the watermark must survive
         s.install(rid(2), Ts(50), some(Value::Int(2)));
         s.install(rid(2), Ts(60), None);
@@ -947,17 +987,22 @@ mod tests {
 
     #[test]
     fn drop_collection_erases_everything() {
+        // the same key in two collections of one store: separate chains
+        let other = RecordId::new(CollectionId(2), Key::int(1));
         let mut s = Storage::new();
         s.install(rid(1), Ts(10), some(Value::Int(1)));
-        s.install(
-            RecordId::new(CollectionId(2), Key::int(1)),
-            Ts(10),
-            some(Value::Int(9)),
-        );
+        s.install(other.clone(), Ts(10), some(Value::Int(9)));
+        s.install(rid(1), Ts(20), some(Value::Int(2)));
+        assert_eq!(s.latest(&rid(1)).unwrap().commit_ts, Ts(20));
+        assert_eq!(s.latest(&other).unwrap().commit_ts, Ts(10));
+        assert_eq!((s.chain_count(), s.version_count()), (2, 3));
         s.drop_collection(C);
-        assert_eq!(s.chain_count(), 1);
+        assert_eq!((s.chain_count(), s.version_count()), (1, 1));
         assert!(s.scan(C, Ts::MAX).is_empty());
+        assert!(s.visible(&rid(1), Ts::MAX).is_none());
+        assert_eq!(s.directory_len(C), 0);
         assert_eq!(s.scan(CollectionId(2), Ts::MAX).len(), 1);
+        assert_eq!(seen(&s, &other, Ts::MAX), Some(Value::Int(9)));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use udbms_core::{Ts, TxnId, Value};
+use udbms_core::{CollectionId, Ts, TxnId, Value};
 
 use crate::storage::RecordId;
 
@@ -168,12 +168,31 @@ impl TxnState {
     pub fn own_write(&self, rid: &RecordId) -> Option<&Option<Arc<Value>>> {
         self.writes.get(rid)
     }
+
+    /// The timestamp reads are served at: the snapshot, or `Ts::MAX`
+    /// (the newest committed version) under read committed.
+    pub fn read_ts(&self) -> Ts {
+        match self.isolation {
+            Isolation::ReadCommitted => Ts::MAX,
+            _ => self.snapshot,
+        }
+    }
+
+    /// Whether a scan of `collection` may hand out storage's merged,
+    /// key-ordered rows as they are: there is no read set to record (not
+    /// `Serializable`) and no buffered write on the collection to
+    /// overlay. The same rule decides when a `LIMIT` may cut a scan
+    /// short.
+    pub fn scan_is_overlay_free(&self, collection: CollectionId) -> bool {
+        self.isolation != Isolation::Serializable
+            && !self.writes.keys().any(|rid| rid.collection == collection)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use udbms_core::{CollectionId, Key};
+    use udbms_core::Key;
 
     fn rid(k: i64) -> RecordId {
         RecordId::new(CollectionId(0), Key::int(k))

@@ -14,9 +14,13 @@
 //!   clause into a [`CompiledPred`] closure tree and runs against the
 //!   borrowed row, skipping the `Env` binding for rejected rows;
 //! * `FOR … [FILTER …] LIMIT o, n` pushes `o + n` into the engine's
-//!   streaming scan so the tail of the collection is never touched.
+//!   streaming scan so the tail of the collection is never touched;
+//! * `COLLECT` groups through a hash map and folds each aggregate as the
+//!   row is read, keeping member rows only for `INTO`; `RETURN DISTINCT`
+//!   dedups through the same canonical hash.
 
-use std::collections::BTreeMap;
+use std::collections::{HashMap, HashSet};
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use udbms_core::{Error, Key, Result, Value};
@@ -25,7 +29,7 @@ use udbms_relational::Predicate;
 
 use crate::ast::*;
 use crate::compile::CompiledPred;
-use crate::eval::{aggregate_array, eval, eval_const, eval_ref, eval_shared, Env};
+use crate::eval::{eval, eval_const, eval_ref, eval_shared, Env, Val};
 
 /// Execute a parsed statement inside a transaction.
 pub fn execute(stmt: &Statement, txn: &mut Txn) -> Result<Vec<Value>> {
@@ -233,43 +237,7 @@ pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value
                 aggregates,
                 into,
             } => {
-                // group key → (group values, member envs)
-                let mut grouped: BTreeMap<Vec<Value>, Vec<Env>> = BTreeMap::new();
-                for env in rows {
-                    let mut key = Vec::with_capacity(groups.len());
-                    for (_, e) in groups {
-                        key.push(eval(e, &env, txn)?);
-                    }
-                    grouped.entry(key).or_default().push(env);
-                }
-                let mut next = Vec::with_capacity(grouped.len());
-                for (key, members) in grouped {
-                    // COLLECT starts a fresh scope
-                    let mut env = base.clone();
-                    for ((name, _), v) in groups.iter().zip(key) {
-                        env = env.with(name, v);
-                    }
-                    for (name, func, input) in aggregates {
-                        let mut inputs = Vec::with_capacity(members.len());
-                        for m in &members {
-                            inputs.push(eval(input, m, txn)?);
-                        }
-                        let fname = match func {
-                            AggFunc::Count => "COUNT",
-                            AggFunc::Sum => "SUM",
-                            AggFunc::Avg => "AVG",
-                            AggFunc::Min => "MIN",
-                            AggFunc::Max => "MAX",
-                        };
-                        env = env.with(name, aggregate_array(fname, &inputs));
-                    }
-                    if let Some(into_var) = into {
-                        let objs: Vec<Value> = members.iter().map(Env::as_object).collect();
-                        env = env.with(into_var, Value::Array(objs));
-                    }
-                    next.push(env);
-                }
-                rows = next;
+                rows = collect(groups, aggregates, into.as_deref(), rows, base, txn)?;
             }
         }
         i += 1;
@@ -279,17 +247,224 @@ pub fn run_body(body: &QueryBody, base: &Env, txn: &mut Txn) -> Result<Vec<Value
         out.push(eval(&body.ret, &env, txn)?);
     }
     if body.distinct {
-        let mut seen = Vec::new();
-        out.retain(|v| {
-            if seen.contains(v) {
-                false
-            } else {
-                seen.push(v.clone());
-                true
-            }
-        });
+        out = distinct(out);
     }
     Ok(out)
+}
+
+/// `COLLECT groups AGGREGATE aggregates [INTO into]` in one pass over
+/// the rows: each row's group key finds its group through a hash map
+/// (canonical equality, so `2` and `2.0` share a group and the first-seen
+/// representation is kept), each aggregate folds the row's input into a
+/// running [`Acc`], and the row is kept as an object only when `INTO`
+/// asks for the members. Groups come out in canonical key order.
+fn collect(
+    groups: &[(String, Expr)],
+    aggregates: &[(String, AggFunc, Expr)],
+    into: Option<&str>,
+    rows: Vec<Env>,
+    base: &Env,
+    txn: &mut Txn,
+) -> Result<Vec<Env>> {
+    let mut grouped: HashMap<Canonical<Vec<Value>>, Group> = HashMap::new();
+    for env in rows {
+        let mut key = Vec::with_capacity(groups.len());
+        for (_, e) in groups {
+            key.push(eval(e, &env, txn)?);
+        }
+        let group = grouped.entry(Canonical(key)).or_insert_with(|| Group {
+            accs: aggregates.iter().map(|(_, f, _)| Acc::new(*f)).collect(),
+            members: Vec::new(),
+        });
+        for (acc, (_, _, input)) in group.accs.iter_mut().zip(aggregates) {
+            acc.add(eval_ref(input, &env, txn)?);
+        }
+        if into.is_some() {
+            group.members.push(env.as_object());
+        }
+    }
+    let mut grouped: Vec<(Canonical<Vec<Value>>, Group)> = grouped.into_iter().collect();
+    // keys are pairwise unequal, so an unstable sort is deterministic
+    grouped.sort_unstable_by(|(a, _), (b, _)| a.0.cmp(&b.0));
+    let mut next = Vec::with_capacity(grouped.len());
+    for (Canonical(key), group) in grouped {
+        // COLLECT starts a fresh scope
+        let mut env = base.clone();
+        for ((name, _), v) in groups.iter().zip(key) {
+            env = env.with(name, v);
+        }
+        for ((name, _, _), acc) in aggregates.iter().zip(group.accs) {
+            env = env.with(name, acc.finish());
+        }
+        if let Some(into_var) = into {
+            env = env.with(into_var, Value::Array(group.members));
+        }
+        next.push(env);
+    }
+    Ok(next)
+}
+
+/// One `COLLECT` group: a running accumulator per aggregate, and the
+/// member rows as objects (only filled under `INTO`).
+struct Group {
+    accs: Vec<Acc>,
+    members: Vec<Value>,
+}
+
+/// The running state of one `COLLECT` aggregate, folded row by row.
+/// [`Acc::finish`] equals [`aggregate_array`](crate::eval::aggregate_array)
+/// over the same inputs in row order.
+enum Acc {
+    /// COUNT: every member counts, whatever its input.
+    Count(i64),
+    /// SUM (`avg == false`) and AVG: the sum of the numeric inputs,
+    /// folded from `-0.0` as `Iterator::sum` is; how many there were; and
+    /// whether every input was `Int` or `Null` (then SUM is an `Int`).
+    Sum {
+        avg: bool,
+        sum: f64,
+        nums: usize,
+        ints_only: bool,
+    },
+    /// MIN: the first of equal minima, nulls skipped.
+    Min(Option<Value>),
+    /// MAX: the last of equal maxima, nulls skipped.
+    Max(Option<Value>),
+}
+
+impl Acc {
+    fn new(func: AggFunc) -> Acc {
+        let sum = |avg| Acc::Sum {
+            avg,
+            sum: -0.0,
+            nums: 0,
+            ints_only: true,
+        };
+        match func {
+            AggFunc::Count => Acc::Count(0),
+            AggFunc::Sum => sum(false),
+            AggFunc::Avg => sum(true),
+            AggFunc::Min => Acc::Min(None),
+            AggFunc::Max => Acc::Max(None),
+        }
+    }
+
+    /// Fold in one member's input; clones it only when it becomes the
+    /// running MIN or MAX.
+    fn add(&mut self, input: Val<'_>) {
+        match self {
+            Acc::Count(n) => *n += 1,
+            Acc::Sum {
+                sum,
+                nums,
+                ints_only,
+                ..
+            } => {
+                if let Some(f) = input.as_float() {
+                    *sum += f;
+                    *nums += 1;
+                }
+                *ints_only &= matches!(*input, Value::Int(_) | Value::Null);
+            }
+            Acc::Min(cur) => {
+                if !input.is_null() && cur.as_ref().is_none_or(|c| *input < *c) {
+                    *cur = Some(input.into_owned());
+                }
+            }
+            Acc::Max(cur) => {
+                if !input.is_null() && cur.as_ref().is_none_or(|c| *input >= *c) {
+                    *cur = Some(input.into_owned());
+                }
+            }
+        }
+    }
+
+    fn finish(self) -> Value {
+        match self {
+            Acc::Count(n) => Value::Int(n),
+            Acc::Sum { nums: 0, .. } => Value::Null,
+            Acc::Sum {
+                avg: true,
+                sum,
+                nums,
+                ..
+            } => Value::Float(sum / nums as f64),
+            Acc::Sum {
+                ints_only: true,
+                sum,
+                ..
+            } => Value::Int(sum as i64),
+            Acc::Sum { sum, .. } => Value::Float(sum),
+            Acc::Min(v) | Acc::Max(v) => v.unwrap_or(Value::Null),
+        }
+    }
+}
+
+/// `RETURN DISTINCT`: the first occurrence of each value under canonical
+/// equality, in output order.
+fn distinct(values: Vec<Value>) -> Vec<Value> {
+    let mut seen = HashSet::with_capacity(values.len());
+    let first: Vec<bool> = values
+        .iter()
+        .map(|v| seen.insert(Canonical(std::slice::from_ref(v))))
+        .collect();
+    drop(seen);
+    values
+        .into_iter()
+        .zip(first)
+        .filter_map(|(v, first)| first.then_some(v))
+        .collect()
+}
+
+/// A sequence of values hashed consistently with the canonical equality
+/// `Value` compares by. `Value`'s own `Hash` tells apart integers beyond
+/// 2^53 that compare equal through their `f64` image, so it cannot key a
+/// group or a `DISTINCT` set on its own.
+#[derive(PartialEq, Eq)]
+struct Canonical<T>(T);
+
+impl<T: AsRef<[Value]>> Hash for Canonical<T> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for v in self.0.as_ref() {
+            canonical_hash(v, state);
+        }
+    }
+}
+
+/// Hash a value so that canonically equal values hash equally: numbers
+/// by their `f64` image (`-0.0` as `0.0`, every NaN alike), containers
+/// element by element, everything else by `Value`'s own `Hash`.
+fn canonical_hash<H: Hasher>(v: &Value, state: &mut H) {
+    match v {
+        Value::Int(_) | Value::Float(_) => {
+            let f = v.as_float().unwrap_or(0.0);
+            let bits = if f.is_nan() {
+                f64::NAN.to_bits()
+            } else if f == 0.0 {
+                0
+            } else {
+                f.to_bits()
+            };
+            state.write_u8(2);
+            state.write_u64(bits);
+        }
+        Value::Array(items) => {
+            state.write_u8(5);
+            state.write_usize(items.len());
+            for item in items {
+                canonical_hash(item, state);
+            }
+        }
+        Value::Object(fields) => {
+            state.write_u8(6);
+            state.write_usize(fields.len());
+            for (k, item) in fields {
+                k.hash(state);
+                canonical_hash(item, state);
+            }
+        }
+        other => other.hash(state),
+    }
 }
 
 /// Materialize the items a `FOR` iterates, as shared row handles.
@@ -771,6 +946,130 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
+    }
+
+    /// Strict identity: variant, float bits (`-0.0` vs `0.0`) and all.
+    fn exact(v: &Value) -> String {
+        format!("{v:?}")
+    }
+
+    /// Every aggregate folded row by row equals the function library's
+    /// `aggregate_array` over the same inputs, bit for bit.
+    #[test]
+    fn accumulators_match_aggregate_array() {
+        use crate::eval::aggregate_array;
+        let cases: Vec<Vec<Value>> = vec![
+            vec![],
+            vec![Value::Null],
+            vec![Value::Float(-0.0)],
+            vec![Value::Float(-0.0), Value::Float(-0.0)],
+            vec![Value::Int(0), Value::Float(-0.0)],
+            vec![Value::Int(2), Value::Float(2.0)],
+            vec![Value::Float(2.0), Value::Int(2)],
+            vec![Value::Int(1), Value::Null, Value::Int(4)],
+            vec![Value::Int(1), Value::from("x"), Value::Int(4)],
+            vec![Value::from("b"), Value::from("a"), Value::Null],
+            vec![Value::Float(0.1), Value::Float(0.2), Value::Float(0.3)],
+            vec![Value::Float(f64::NAN), Value::Int(1)],
+            vec![Value::Bool(true), Value::Int(3), Value::Float(-1.5)],
+        ];
+        for items in &cases {
+            for (func, name) in [
+                (AggFunc::Count, "COUNT"),
+                (AggFunc::Sum, "SUM"),
+                (AggFunc::Avg, "AVG"),
+                (AggFunc::Min, "MIN"),
+                (AggFunc::Max, "MAX"),
+            ] {
+                let mut acc = Acc::new(func);
+                for v in items {
+                    acc.add(Val::Borrowed(v));
+                }
+                assert_eq!(
+                    exact(&acc.finish()),
+                    exact(&aggregate_array(name, items)),
+                    "{name} over {items:?}"
+                );
+            }
+        }
+    }
+
+    /// MIN keeps the first of equal minima, MAX the last of equal maxima.
+    #[test]
+    fn min_and_max_keep_their_tie_representation() {
+        let fold = |func: AggFunc, items: &[Value]| {
+            let mut acc = Acc::new(func);
+            for v in items {
+                acc.add(Val::Borrowed(v));
+            }
+            exact(&acc.finish())
+        };
+        let (int, float) = (Value::Int(2), Value::Float(2.0));
+        let int_first = [int.clone(), float.clone()];
+        let float_first = [float.clone(), int.clone()];
+        assert_eq!(fold(AggFunc::Min, &int_first), exact(&int));
+        assert_eq!(fold(AggFunc::Max, &int_first), exact(&float));
+        assert_eq!(fold(AggFunc::Min, &float_first), exact(&float));
+        assert_eq!(fold(AggFunc::Max, &float_first), exact(&int));
+    }
+
+    /// Canonically equal values hash alike, including integers past
+    /// 2^53 that are equal only through their `f64` image.
+    #[test]
+    fn canonical_hash_agrees_with_canonical_equality() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |v: &Value| {
+            let mut h = DefaultHasher::new();
+            Canonical(std::slice::from_ref(v)).hash(&mut h);
+            h.finish()
+        };
+        let big = 1i64 << 53;
+        let pairs = [
+            (Value::Int(2), Value::Float(2.0)),
+            (Value::Int(0), Value::Float(-0.0)),
+            (Value::Float(f64::NAN), Value::Float(-f64::NAN)),
+            (Value::Int(big), Value::Int(big + 1)),
+            (Value::Int(i64::MAX), Value::Float(i64::MAX as f64)),
+            (
+                Value::Array(vec![Value::Int(1), Value::from("a")]),
+                Value::Array(vec![Value::Float(1.0), Value::from("a")]),
+            ),
+            (
+                Value::Object([("k".to_string(), Value::Int(3))].into()),
+                Value::Object([("k".to_string(), Value::Float(3.0))].into()),
+            ),
+        ];
+        for (a, b) in &pairs {
+            assert_eq!(a, b, "the pair is canonically equal");
+            assert_eq!(hash(a), hash(b), "{a:?} and {b:?} must hash alike");
+        }
+        assert_ne!(hash(&Value::Int(1)), hash(&Value::from("1")));
+    }
+
+    #[test]
+    fn distinct_keeps_first_occurrences_in_order() {
+        let out = distinct(vec![
+            Value::Int(2),
+            Value::from("a"),
+            Value::Float(2.0),
+            Value::Null,
+            Value::from("a"),
+            Value::Float(-0.0),
+            Value::Int(0),
+            Value::Null,
+        ]);
+        assert_eq!(
+            out.iter().map(exact).collect::<Vec<_>>(),
+            [
+                Value::Int(2),
+                Value::from("a"),
+                Value::Null,
+                Value::Float(-0.0)
+            ]
+            .iter()
+            .map(exact)
+            .collect::<Vec<_>>()
+        );
     }
 
     #[test]

@@ -5,9 +5,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use udbms::core::{Key, SplitMix64, Value};
+use udbms::core::{obj, CollectionSchema, Key, SplitMix64, Value};
 use udbms::datagen::{build_engine, workload, GenConfig};
-use udbms::engine::Isolation;
+use udbms::engine::{Engine, Isolation};
 
 #[test]
 fn order_update_storm_preserves_cross_model_invariants() {
@@ -230,4 +230,50 @@ fn isolation_levels_order_by_strictness_under_contention() {
             "hot keys under SI must conflict within {attempts} contended mixes"
         );
     }
+}
+
+/// Eight clients incrementing one counter: every increment conflicts with
+/// the others, and `Engine::run` must still land all of them. Retrying
+/// every conflict at once let clients restart in lockstep until one ran
+/// out of retries ("gave up after 64 retries").
+#[test]
+fn hot_key_increments_all_commit_under_contention() {
+    const CLIENTS: usize = 8;
+    const PER_CLIENT: usize = 200;
+    let engine = Engine::new();
+    engine
+        .create_collection(CollectionSchema::key_value("c"))
+        .unwrap();
+    let key = Key::int(0);
+    engine
+        .run(Isolation::Snapshot, |t| {
+            t.put("c", key.clone(), obj! {"n" => 0})
+        })
+        .unwrap();
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let engine = engine.clone();
+            let key = key.clone();
+            std::thread::spawn(move || {
+                for _ in 0..PER_CLIENT {
+                    engine
+                        .run(Isolation::Snapshot, |t| {
+                            let n = t.get("c", &key)?.unwrap().get_field("n").as_int();
+                            // widen the read-to-write window
+                            std::thread::yield_now();
+                            t.put("c", key.clone(), obj! {"n" => n.unwrap() + 1})
+                        })
+                        .expect("a hot-key increment commits within the retry budget");
+                }
+            })
+        })
+        .collect();
+    for c in clients {
+        c.join().unwrap();
+    }
+    let n = engine
+        .run(Isolation::Snapshot, |t| t.get("c", &key))
+        .unwrap()
+        .unwrap();
+    assert_eq!(n.get_field("n"), &Value::Int((CLIENTS * PER_CLIENT) as i64));
 }

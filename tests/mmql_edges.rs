@@ -2,6 +2,8 @@
 //! mutation, COLLECT corner shapes, traversal bounds — the behaviours a
 //! second implementation would most likely get subtly wrong.
 
+use proptest::prelude::*;
+
 use udbms::core::{obj, CollectionSchema, FieldPath, Key, Value};
 use udbms::engine::{Engine, Isolation};
 use udbms::relational::IndexKind;
@@ -206,4 +208,122 @@ fn array_index_outside_bounds_is_null_on_both_ends() {
         "FOR r IN t FILTER r._id == 1 RETURN [[r.v][-1], [r.v][-2]]",
     );
     assert_eq!(out, vec![Value::Array(vec![Value::Int(1), Value::Null])]);
+}
+
+/// Group keys: `2` next to `2.0`, `0` next to `-0.0`, plus `Null`, a
+/// string and another number.
+fn group_value(i: u8) -> Value {
+    [
+        Value::Int(2),
+        Value::Float(2.0),
+        Value::Int(0),
+        Value::Float(-0.0),
+        Value::Null,
+        Value::from("a"),
+        Value::Int(1),
+    ][usize::from(i) % 7]
+        .clone()
+}
+
+/// Aggregate inputs mixing `Int`, `Float`, `-0.0`, `Null` and non-numbers.
+fn input_value(i: u8) -> Value {
+    [
+        Value::Int(2),
+        Value::Float(2.0),
+        Value::Int(-3),
+        Value::Float(-0.0),
+        Value::Null,
+        Value::from("a"),
+        Value::Float(0.5),
+        Value::Int(0),
+        Value::Bool(true),
+        Value::Float(1e16),
+    ][usize::from(i) % 10]
+        .clone()
+}
+
+/// Strict identity: variant and float bits, not canonical equality.
+fn exact(v: &Value) -> String {
+    format!("{v:?}")
+}
+
+fn rows_engine(rows: &[(u8, u8)]) -> Engine {
+    let e = Engine::new();
+    e.create_collection(CollectionSchema::key_value("rows"))
+        .unwrap();
+    e.run(Isolation::Snapshot, |txn| {
+        for (i, (g, v)) in rows.iter().enumerate() {
+            txn.put(
+                "rows",
+                Key::int(i as i64),
+                obj! {"g" => group_value(*g), "v" => input_value(*v)},
+            )?;
+        }
+        Ok(())
+    })
+    .unwrap();
+    e
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// COLLECT's one-pass grouping and aggregation agree with a
+    /// reference: groups in canonical key order, each group keyed by its
+    /// first-seen representation, `INTO` members in row order, and every
+    /// aggregate bit-identical to the function library's SUM/AVG/MIN/MAX/
+    /// LENGTH over the same group's inputs.
+    #[test]
+    fn collect_matches_reference_grouping_and_function_library(
+        rows in prop::collection::vec((0u8..7, 0u8..10), 0..40),
+    ) {
+        let e = rows_engine(&rows);
+        let out = q(
+            &e,
+            "FOR r IN rows
+               COLLECT g = r.g
+               AGGREGATE s = SUM(r.v), a = AVG(r.v), lo = MIN(r.v), hi = MAX(r.v), n = COUNT(r.v)
+               INTO m
+               LET vs = (FOR x IN m RETURN x.r.v)
+               RETURN {g, vs, got: [s, a, lo, hi, n],
+                       want: [SUM(vs), AVG(vs), MIN(vs), MAX(vs), LENGTH(vs)]}",
+        );
+        // reference grouping: linear search under canonical equality
+        let mut groups: Vec<(Value, Vec<Value>)> = Vec::new();
+        for (g, v) in &rows {
+            let (g, v) = (group_value(*g), input_value(*v));
+            match groups.iter_mut().find(|(k, _)| *k == g) {
+                Some((_, members)) => members.push(v),
+                None => groups.push((g, vec![v])),
+            }
+        }
+        groups.sort_by(|(a, _), (b, _)| a.cmp(b));
+        prop_assert_eq!(out.len(), groups.len());
+        for (row, (key, members)) in out.iter().zip(&groups) {
+            prop_assert_eq!(exact(row.get_field("g")), exact(key));
+            prop_assert_eq!(exact(row.get_field("vs")), exact(&Value::Array(members.clone())));
+            prop_assert_eq!(exact(row.get_field("got")), exact(row.get_field("want")));
+        }
+    }
+
+    /// `RETURN DISTINCT` keeps the first occurrence of each canonically
+    /// equal value, in output order.
+    #[test]
+    fn distinct_keeps_first_occurrences(
+        rows in prop::collection::vec((0u8..7, 0u8..10), 0..40),
+    ) {
+        let e = rows_engine(&rows);
+        let out = q(&e, "FOR r IN rows RETURN DISTINCT r.v");
+        let mut want: Vec<Value> = Vec::new();
+        for (_, v) in &rows {
+            let v = input_value(*v);
+            if !want.contains(&v) {
+                want.push(v);
+            }
+        }
+        prop_assert_eq!(
+            out.iter().map(exact).collect::<Vec<_>>(),
+            want.iter().map(exact).collect::<Vec<_>>()
+        );
+    }
 }

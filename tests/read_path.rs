@@ -227,6 +227,82 @@ fn social_engine() -> Engine {
     engine
 }
 
+/// `scan_shared` overlays a transaction's own puts and deletes on the
+/// scanned collection, in key order, under every isolation level, and a
+/// buffered write on another collection leaves the scan as storage has
+/// it.
+#[test]
+fn scans_overlay_own_writes_only_on_their_collection() {
+    let engine = social_engine();
+    engine
+        .create_collection(CollectionSchema::key_value("other"))
+        .unwrap();
+    let committed = engine.begin_read().scan_shared("orders").unwrap();
+    let ns = |rows: &[(Key, Arc<Value>)]| -> Vec<(Key, Value)> {
+        rows.iter()
+            .map(|(k, v)| (k.clone(), v.get_field("n").clone()))
+            .collect()
+    };
+    for iso in [
+        Isolation::ReadCommitted,
+        Isolation::Snapshot,
+        Isolation::Serializable,
+    ] {
+        // another collection's write: the scan is storage's, row for row
+        let mut t = engine.begin(iso);
+        t.put("other", Key::int(3), obj! {"n" => -1}).unwrap();
+        assert_eq!(t.scan_shared("orders").unwrap(), committed, "{iso:?}");
+        assert_eq!(
+            t.scan_limited("orders", 5).unwrap(),
+            committed[..5].to_vec()
+        );
+        let g_is_3 = Predicate::eq("g", Value::Int(3));
+        assert_eq!(
+            t.select_shared("orders", &g_is_3).unwrap(),
+            engine
+                .begin_read()
+                .select_shared("orders", &g_is_3)
+                .unwrap()
+        );
+        t.abort();
+
+        // own put (new and overwrite) and delete on the scanned collection
+        let mut t = engine.begin(iso);
+        t.put("orders", Key::int(100), obj! {"n" => 100}).unwrap();
+        t.put("orders", Key::int(-1), obj! {"n" => -1}).unwrap();
+        t.put("orders", Key::int(5), obj! {"n" => 500}).unwrap();
+        assert!(t.delete("orders", &Key::int(7)).unwrap());
+        let mut want = ns(&committed);
+        want.retain(|(k, _)| *k != Key::int(7));
+        want.insert(0, (Key::int(-1), Value::Int(-1)));
+        want.push((Key::int(100), Value::Int(100)));
+        for (k, n) in &mut want {
+            if *k == Key::int(5) {
+                *n = Value::Int(500);
+            }
+        }
+        assert_eq!(ns(&t.scan_shared("orders").unwrap()), want, "{iso:?}");
+        assert_eq!(
+            ns(&t.scan_limited("orders", 3).unwrap()),
+            want[..3].to_vec()
+        );
+        // a buffered delete hides the row from predicate scans too
+        let g3: Vec<Value> = t
+            .select_shared("orders", &g_is_3)
+            .unwrap()
+            .iter()
+            .map(|v| v.get_field("n").clone())
+            .collect();
+        let want_g3: Vec<Value> = (3..40)
+            .step_by(4)
+            .filter(|n| *n != 7)
+            .map(Value::Int)
+            .collect();
+        assert_eq!(g3, want_g3, "{iso:?}");
+        t.abort();
+    }
+}
+
 /// Compiled filters and interpreter filters agree through full query
 /// execution (the compiled text vs a call-wrapped text that defeats
 /// compilation).
