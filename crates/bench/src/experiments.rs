@@ -41,8 +41,8 @@ pub struct RunScale {
     pub shards: usize,
     /// Restrict the E8 durability sweep to one level (`None` = sweep
     /// all of Buffered/Flush/Fsync); the harness `--durability LEVEL`
-    /// flag sets it (CI pins `flush` to keep per-commit fsyncs out of
-    /// the gated wall-time).
+    /// flag sets it (CI pins `flush` to keep fsyncs out of the gated
+    /// wall-time).
     pub durability: Option<Durability>,
     /// Whether the engines the experiments construct record
     /// observability (stage histograms, trace events, slow-query log);
@@ -213,8 +213,8 @@ impl RunScale {
     }
 
     /// The [`EngineConfig`] experiments construct engines with: the
-    /// scale's shard count plus its obs settings (durability and group
-    /// commit stay per-experiment decisions).
+    /// scale's shard count plus its obs settings (durability stays a
+    /// per-experiment decision).
     pub fn engine_config(&self) -> EngineConfig {
         EngineConfig::default()
             .with_shards(self.shards)
@@ -1037,22 +1037,19 @@ pub fn e7_ablation(scale: RunScale) -> Report {
     report
 }
 
-/// E8 — durability: commit throughput over durability level × clients,
-/// group commit vs the historical per-commit WAL path, and recovery
-/// time vs log size (including a torn-tail crash simulation). Every
-/// throughput cell runs the identical distinct-key commit loop against
-/// a WAL-backed engine; the variables are the durability level, the
-/// client count, and which commit subsystem is on — the group-commit
-/// arm is the full new stack (queue + leader/follower drain + mmap
-/// append path), the per-commit arm is the seed engine's
-/// write-and-flush under `commit_lock`.
+/// E8 — durability: commit throughput over durability level × clients
+/// through the engine's one commit pipeline (queue + leader/follower
+/// drain + mmap appends), and recovery time vs log size (including a
+/// torn-tail crash simulation). Every throughput cell runs the
+/// identical distinct-key commit loop against a WAL-backed engine; the
+/// variables are the durability level and the client count.
 pub fn e8_durability(scale: RunScale) -> Report {
     use udbms_core::CollectionSchema;
     use udbms_engine::{Engine, Wal};
 
     let mut report = Report::new(
         format!(
-            "E8 — durability × group commit: commit throughput + recovery, {} shard(s)",
+            "E8 — durability: commit throughput + recovery, {} shard(s)",
             scale.shards
         ),
         &[
@@ -1083,64 +1080,61 @@ pub fn e8_durability(scale: RunScale) -> Report {
         vec![1, scale.clients]
     };
 
-    // --- commit throughput: durability × clients × {group, per-commit} ---
+    // --- commit throughput: durability × clients ---
+    // the arm label stays in the first column: the gate keys E8 rows by
+    // (arm, durability, clients), and the recovery rows below share it
+    let arm = "group-commit";
     for level in scale.durability_levels() {
         for &clients in &client_arms {
-            for (arm, grouped) in [("group-commit", true), ("per-commit", false)] {
-                let path = tmp(&format!("{arm}-{}-{clients}", level.label()));
-                let config = scale
-                    .engine_config()
-                    .with_durability(level)
-                    .with_group_commit(grouped);
-                let subject =
-                    EngineSubject::with_wal_config(&path, config).expect("wal-backed subject");
-                let engine = subject.engine();
-                engine
-                    .create_collection(CollectionSchema::key_value("commits"))
-                    .expect("commit collection");
-                // best of up to 3 cycles (distinct key ranges on one
-                // growing log): these cells are milliseconds long, so a
-                // single scheduler stall would otherwise decide the
-                // group-vs-per-commit comparison
-                let cycles = scale.reps.clamp(1, 3);
-                let total = clients * per_client;
-                let mut best: Option<udbms_driver::ConcurrentStats> = None;
-                for cycle in 0..cycles {
-                    let stats = run_concurrent(clients, per_client, |client, i| {
-                        // distinct keys: the cell measures the commit
-                        // path, not conflict retries
-                        let k = (cycle * total + client * per_client + i) as i64;
-                        engine.run(Isolation::Snapshot, |t| {
-                            t.put("commits", Key::int(k), Value::Int(k))
-                        })
+            let path = tmp(&format!("{arm}-{}-{clients}", level.label()));
+            let config = scale.engine_config().with_durability(level);
+            let subject =
+                EngineSubject::with_wal_config(&path, config).expect("wal-backed subject");
+            let engine = subject.engine();
+            engine
+                .create_collection(CollectionSchema::key_value("commits"))
+                .expect("commit collection");
+            // best of up to 3 cycles (distinct key ranges on one growing
+            // log): these cells are milliseconds long, so a single
+            // scheduler stall would otherwise decide the cell
+            let cycles = scale.reps.clamp(1, 3);
+            let total = clients * per_client;
+            let mut best: Option<udbms_driver::ConcurrentStats> = None;
+            for cycle in 0..cycles {
+                let stats = run_concurrent(clients, per_client, |client, i| {
+                    // distinct keys: the cell measures the commit path,
+                    // not conflict retries
+                    let k = (cycle * total + client * per_client + i) as i64;
+                    engine.run(Isolation::Snapshot, |t| {
+                        t.put("commits", Key::int(k), Value::Int(k))
                     })
-                    .expect("commit loop");
-                    if best.as_ref().is_none_or(|b| stats.elapsed < b.elapsed) {
-                        best = Some(stats);
-                    }
+                })
+                .expect("commit loop");
+                if best.as_ref().is_none_or(|b| stats.elapsed < b.elapsed) {
+                    best = Some(stats);
                 }
-                let stats = best.expect("at least one cycle");
-                let es = engine.stats();
-                let mut row = vec![
-                    arm.into(),
-                    level.label().into(),
-                    clients.to_string(),
-                    total.to_string(),
-                    format!(
-                        "{:.1}",
-                        es.wal_records as f64 / es.wal_batches.max(1) as f64
-                    ),
-                    format!("{:?}", stats.elapsed),
-                ];
-                row.extend(latency_cells(
-                    &stats.latency_histogram(),
-                    stats.percentile_us(95.0),
-                ));
-                row.push(per_sec(total, stats.elapsed.as_secs_f64()));
-                report.row(row);
-                drop(subject);
-                let _ = std::fs::remove_file(&path);
             }
+            let stats = best.expect("at least one cycle");
+            let es = engine.stats();
+            let mut row = vec![
+                arm.into(),
+                level.label().into(),
+                clients.to_string(),
+                total.to_string(),
+                format!(
+                    "{:.1}",
+                    es.wal_records as f64 / es.wal_batches.max(1) as f64
+                ),
+                format!("{:?}", stats.elapsed),
+            ];
+            row.extend(latency_cells(
+                &stats.latency_histogram(),
+                stats.percentile_us(95.0),
+            ));
+            row.push(per_sec(total, stats.elapsed.as_secs_f64()));
+            report.row(row);
+            drop(subject);
+            let _ = std::fs::remove_file(&path);
         }
     }
 
@@ -1211,9 +1205,8 @@ pub fn e8_durability(scale: RunScale) -> Report {
         let _ = std::fs::remove_file(&path);
     }
 
-    report.note("commit arms run the identical distinct-key loop: group-commit is the new");
-    report.note("durability stack (queue + leader/follower drain + mmap appends), per-commit");
-    report.note("is the seed engine's write+flush under commit_lock. recovery rows time");
+    report.note("commit rows run one distinct-key loop through the engine's commit pipeline");
+    report.note("(queue + leader/follower drain + mmap appends). recovery rows time");
     report.note("Engine::with_wal over the log size; the torn-tail row recovers a log");
     report.note("ending in a half-written record");
     report
@@ -1853,8 +1846,7 @@ pub fn e12_faults(scale: RunScale) -> Report {
     };
     let config = scale
         .engine_config()
-        .with_durability(scale.durability.unwrap_or(Durability::Flush))
-        .with_group_commit(true);
+        .with_durability(scale.durability.unwrap_or(Durability::Flush));
     let plan = Arc::new(FaultPlan::seeded(seed));
     let engine =
         Engine::with_wal_faults(&path, config, Arc::clone(&plan)).expect("wal-backed engine");
@@ -2255,18 +2247,19 @@ mod tests {
             ..RunScale::quick()
         };
         let r = e8_durability(scale);
-        // 3 levels × clients {1, 2} × {group-commit, per-commit} + 3 recovery rows
-        assert_eq!(r.rows.len(), 3 * 2 * 2 + 3);
+        // 3 levels × clients {1, 2} + 3 recovery rows
+        assert_eq!(r.rows.len(), 3 * 2 + 3);
         for level in ["buffered", "flush", "fsync"] {
-            for arm in ["group-commit", "per-commit"] {
+            for clients in ["1", "2"] {
                 assert!(
-                    r.rows
-                        .iter()
-                        .any(|row| row[0] == arm && row[1] == level && row[2] == "2"),
-                    "missing row {arm} × {level}"
+                    r.rows.iter().any(|row| row[0] == "group-commit"
+                        && row[1] == level
+                        && row[2] == clients),
+                    "missing row {level} × {clients} clients"
                 );
             }
         }
+        assert!(r.rows.iter().all(|row| row[0] != "per-commit"));
         assert!(r.rows.iter().any(|row| row[0] == "recovery torn-tail"));
         for row in &r.rows {
             assert!(row[11].ends_with("/s"), "rate cell: {row:?}");
@@ -2275,7 +2268,7 @@ mod tests {
         // a pinned level (the CI configuration) sweeps only that level
         let pinned = scale.with_durability(Durability::Flush);
         let r = e8_durability(pinned);
-        assert_eq!(r.rows.len(), 2 * 2 + 3);
+        assert_eq!(r.rows.len(), 2 + 3);
         assert!(r.rows.iter().all(|row| row[1] != "fsync"));
     }
 

@@ -19,10 +19,11 @@
 //! ```
 //!
 //! `Eq`/`Ord`/`Hash` are mutually consistent: `Int(2) == Float(2.0)`, they
-//! compare `Equal`, and they hash identically. `NaN` is normalized to a
-//! single value that sorts after every other float and equals itself, so
-//! the order is total and `Value` can be used as a `BTreeMap`/`HashMap`
-//! key.
+//! compare `Equal`, and they hash identically. Numbers compare by their
+//! exact value, never through a rounding cast, so `Int(2^53)` and
+//! `Int(2^53 + 1)` stay distinct. `NaN` is normalized to a single value
+//! that sorts after every other float and equals itself, so the order is
+//! total and `Value` can be used as a `BTreeMap`/`HashMap` key.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -68,38 +69,42 @@ fn type_rank(v: &Value) -> u8 {
     }
 }
 
-/// Compare two numbers (any mix of `Int`/`Float`) numerically, totalizing
-/// `NaN` as the greatest float (and equal to itself).
+/// Compare two numbers (any mix of `Int`/`Float`) exactly, totalizing
+/// `NaN` as the greatest float (and equal to itself). Two `Int`s compare
+/// as integers and an `Int` against a `Float` compares the exact
+/// mathematical values, so integers beyond 2^53 that share an `f64`
+/// image stay distinct. `-0.0 == 0.0 == Int(0)`.
 fn cmp_numeric(a: &Value, b: &Value) -> Ordering {
-    fn key(v: &Value) -> (bool, f64, i64) {
-        // (is_nan, float_key, int_tiebreak)
-        match *v {
-            Value::Int(i) => (false, i as f64, i),
-            Value::Float(f) => {
-                if f.is_nan() {
-                    (true, 0.0, 0)
-                } else {
-                    // For floats that are exactly integral keep an i64 tiebreak
-                    // so Int(i) == Float(i as f64) compares Equal, while huge
-                    // floats beyond i64 range still order by magnitude.
-                    let t = if f >= i64::MIN as f64 && f <= i64::MAX as f64 {
-                        f as i64
-                    } else {
-                        0
-                    };
-                    (false, f, t)
-                }
-            }
-            _ => unreachable!("cmp_numeric on non-number"),
-        }
+    match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        (Value::Int(i), Value::Float(f)) => cmp_int_float(*i, *f),
+        (Value::Float(f), Value::Int(i)) => cmp_int_float(*i, *f).reverse(),
+        (Value::Float(x), Value::Float(y)) => match (x.is_nan(), y.is_nan()) {
+            (true, true) => Ordering::Equal,
+            (true, false) => Ordering::Greater,
+            (false, true) => Ordering::Less,
+            (false, false) => x.partial_cmp(y).unwrap_or(Ordering::Equal),
+        },
+        _ => unreachable!("cmp_numeric on non-number"),
     }
-    let (an, af, _ai) = key(a);
-    let (bn, bf, _bi) = key(b);
-    match (an, bn) {
-        (true, true) => Ordering::Equal,
-        (true, false) => Ordering::Greater,
-        (false, true) => Ordering::Less,
-        (false, false) => af.partial_cmp(&bf).unwrap_or(Ordering::Equal),
+}
+
+/// `i` against `f`, exactly: no cast that can round either side.
+fn cmp_int_float(i: i64, f: f64) -> Ordering {
+    // 2^63 as f64 is exact; every finite float in [-2^63, 2^63) has an
+    // integer part that fits an i64 exactly
+    const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+    if f.is_nan() || f >= TWO_63 {
+        return Ordering::Less;
+    }
+    if f < -TWO_63 {
+        return Ordering::Greater;
+    }
+    let whole = f.trunc();
+    match i.cmp(&(whole as i64)) {
+        // same integer part: the fraction decides
+        Ordering::Equal => 0.0f64.partial_cmp(&(f - whole)).unwrap_or(Ordering::Equal),
+        other => other,
     }
 }
 
@@ -491,8 +496,9 @@ impl Hash for Value {
                 state.write_u8(1);
                 b.hash(state);
             }
-            // Numbers hash by canonical numeric identity so Int(2) and
-            // Float(2.0) (which are Eq) hash identically.
+            // Numbers hash by exact numeric identity so Int(2) and
+            // Float(2.0) (which are Eq) hash identically: an integral
+            // float inside i64's range hashes as the Int it equals.
             Value::Int(i) => {
                 state.write_u8(2);
                 state.write_u8(0);
@@ -502,7 +508,7 @@ impl Hash for Value {
                 state.write_u8(2);
                 if f.is_nan() {
                     state.write_u8(2);
-                } else if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f <= i64::MAX as f64 {
+                } else if f.fract() == 0.0 && *f >= i64::MIN as f64 && *f < i64::MAX as f64 {
                     state.write_u8(0);
                     (*f as i64).hash(state);
                 } else {

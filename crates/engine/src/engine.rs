@@ -3,7 +3,8 @@
 //! ## Commit protocol
 //!
 //! ```text
-//! begin:   lock(commit) → snapshot = clock → register active → unlock
+//! begin:   lock(commit) → snapshot = clock → unlock → register active
+//! begin_read:  snapshot = published (no lock)       → register active
 //! commit:  lock(commit)
 //!            group write-set by shard (stable key hash)
 //!            validate writes  (SI/SER: first-committer-wins, one shard
@@ -24,6 +25,12 @@
 //! to it, whichever shard it lands in. (ReadCommitted readers, which read
 //! at `Ts::MAX`, may observe a commit's writes shard by shard; that
 //! anomaly is within RC's contract and is documented in DESIGN.md.)
+//!
+//! Registration in `active` happens *after* the snapshot is taken, and
+//! outside `commit_lock`: a [`Engine::gc`] that runs in between can
+//! prune a version the new snapshot needs. This is the open
+//! snapshot-registration race in ROADMAP.md; nothing runs GC
+//! concurrently with transactions today.
 //!
 //! Lock discipline, in decreasing strength: `commit_lock` is taken
 //! first by every multi-domain critical section (commit, DDL, the brief
@@ -132,11 +139,6 @@ pub struct EngineConfig {
     /// How durable a commit is when it returns, for WAL-backed engines
     /// (see [`Durability`]). Default: [`Durability::Flush`].
     pub durability: Durability,
-    /// Whether commits go through the group-commit log writer (default)
-    /// or write + flush the WAL synchronously under `commit_lock` — the
-    /// engine's historical per-commit path, kept as the E8 comparison
-    /// arm.
-    pub group_commit: bool,
     /// Whether observability recording (stage histograms, trace events,
     /// slow-query log) is on. Disabled, every timing site reduces to one
     /// branch — the E10 experiment measures the difference.
@@ -151,7 +153,6 @@ impl Default for EngineConfig {
         EngineConfig {
             shards: DEFAULT_SHARDS,
             durability: Durability::default(),
-            group_commit: true,
             obs: true,
             slow_query_ms: 100,
         }
@@ -168,12 +169,6 @@ impl EngineConfig {
     /// Override the durability level (builder-style).
     pub fn with_durability(mut self, durability: Durability) -> EngineConfig {
         self.durability = durability;
-        self
-    }
-
-    /// Enable/disable group commit (builder-style).
-    pub fn with_group_commit(mut self, group_commit: bool) -> EngineConfig {
-        self.group_commit = group_commit;
         self
     }
 
@@ -429,18 +424,9 @@ impl Engine {
             .inner
             .obs
             .event("recovery", replayed as u64, recovery.truncated_bytes);
-        // group commit appends through the mmap'd fast path (no syscall
-        // per record); the per-commit comparison arm keeps the seed
-        // engine's buffered-write path
-        let wal = if config.group_commit {
-            Wal::open_mapped_with_faults(path, faults)?
-        } else {
-            Wal::open_with_faults(path, faults)?
-        };
         let log = GroupLog::start(
-            wal,
+            Wal::open_with_faults(path, faults)?,
             config.durability,
-            config.group_commit,
             Arc::clone(&engine.inner.obs),
         );
         if engine.inner.log.set(log).is_err() {
@@ -504,13 +490,16 @@ impl Engine {
     /// holding the live state at a snapshot, plus every commit after
     /// that snapshot. No-op (Ok) when the engine has no WAL.
     ///
-    /// Commits are **not** stalled for the duration: `commit_lock` is
-    /// held only long enough to read the snapshot timestamp (the same
-    /// brief hold `begin` uses, so the snapshot can never straddle a
-    /// half-installed commit), the collection scan runs against MVCC
-    /// shard reads, and only the final swap — drain the commit queue,
-    /// filter the tail, fsync + rename — briefly closes the queue
-    /// (work proportional to the log tail, not the database).
+    /// Commits are **not** stalled for the whole of it: `commit_lock`
+    /// is held only long enough to read the snapshot timestamp (the
+    /// same brief hold `begin` uses, so the snapshot can never straddle
+    /// a half-installed commit), and the collection scan runs against
+    /// MVCC shard reads. The final swap — drain the commit queue,
+    /// re-read the live log to filter the tail, fsync + rename — closes
+    /// the queue. That re-read parses the whole live log, which from
+    /// the second checkpoint on starts with the previous checkpoint's
+    /// whole-database record, so the stall grows with the database,
+    /// not only with the tail (an open item in ROADMAP.md).
     pub fn checkpoint(&self) -> Result<()> {
         let Some(log) = self.inner.log.get() else {
             return Ok(());

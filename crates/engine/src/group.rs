@@ -28,11 +28,9 @@
 //! return without waiting. Either way one flush/fsync covers the whole
 //! batch and `writing` arbitrates so exactly one drainer runs.
 //!
-//! `GroupLog` also supports a **synchronous** mode (no queue, no writer
-//! thread): each commit formats, writes, and flushes its own record
-//! while still holding `commit_lock` — the engine's historical
-//! behaviour, kept alive as the E8 comparison arm
-//! (`EngineConfig::group_commit = false`).
+//! This is the engine's only commit path: every WAL-backed engine runs
+//! it at every [`Durability`] level, and the drain protocol is the one
+//! `udbms-model`'s group-commit suite checks.
 //!
 //! Lock order: `state → wal`. The writer never holds both (it takes the
 //! batch under `state`, releases, then writes under `wal`); checkpoint
@@ -192,42 +190,29 @@ impl LogShared {
     }
 
     /// Take the queued batch, write + flush/fsync it, retire it. The
-    /// caller verified `!writing` and a non-empty queue. Two regimes:
+    /// caller verified `!writing` and a non-empty queue. The state lock
+    /// is released around the I/O behind the `writing` handshake, so
+    /// committers keep enqueueing the next batch while this one is
+    /// written (and, at `Fsync`, synced) — one regime at every
+    /// durability level.
     ///
-    /// * **Fsync** — the batch write blocks on the disk for
-    ///   milliseconds, so the queue is released during the I/O
-    ///   (`writing` handshake): committers keep enqueueing the next
-    ///   batch while this one syncs.
-    /// * **Buffered / Flush** — the batch write is a memcpy into the
-    ///   mmap'd log (no syscall), so the state lock is simply held
-    ///   through it: one lock session instead of two plus a handshake.
-    ///
-    /// Returns the (re-)acquired state lock.
+    /// Returns the re-acquired state lock.
     fn drain<'a>(
         &'a self,
         mut st: TrackedMutexGuard<'a, LogState>,
     ) -> TrackedMutexGuard<'a, LogState> {
-        if self.durability == Durability::Fsync {
-            st.writing = true;
-            self.writing.store(true, Ordering::Relaxed);
-            let batch = self.take_batch(&mut st);
-            drop(st);
-            let result = {
-                let mut wal = self.wal.lock();
-                self.write_batch(&mut wal, &batch)
-            };
-            st = self.state.lock();
-            st.writing = false;
-            self.writing.store(false, Ordering::Relaxed);
-            self.retire(&mut st, batch.len() as u64, result);
-        } else {
-            let batch = self.take_batch(&mut st);
-            let result = {
-                let mut wal = self.wal.lock();
-                self.write_batch(&mut wal, &batch)
-            };
-            self.retire(&mut st, batch.len() as u64, result);
-        }
+        st.writing = true;
+        self.writing.store(true, Ordering::Relaxed);
+        let batch = self.take_batch(&mut st);
+        drop(st);
+        let result = {
+            let mut wal = self.wal.lock();
+            self.write_batch(&mut wal, &batch)
+        };
+        st = self.state.lock();
+        st.writing = false;
+        self.writing.store(false, Ordering::Relaxed);
+        self.retire(&mut st, batch.len() as u64, result);
         if st.waiters > 0 {
             self.done.notify_all();
         }
@@ -320,19 +305,16 @@ fn unavailable(read_only: bool, msg: &str) -> Error {
     }
 }
 
-/// The engine's WAL endpoint: group-commit queue + log-writer thread
-/// (or the synchronous per-commit path when `grouped` is off).
+/// The engine's WAL endpoint: group-commit queue + log-writer thread.
 pub(crate) struct GroupLog {
     shared: Arc<LogShared>,
     writer: Option<JoinHandle<()>>,
-    grouped: bool,
 }
 
 impl GroupLog {
-    /// Wrap an open WAL. `grouped` spawns the dedicated log writer;
-    /// otherwise commits write synchronously. Stage timings (queue
-    /// wait, append, flush) land in `obs`'s histograms.
-    pub fn start(wal: Wal, durability: Durability, grouped: bool, obs: Arc<Obs>) -> GroupLog {
+    /// Wrap an open WAL and spawn the dedicated log writer. Stage
+    /// timings (queue wait, append, flush) land in `obs`'s histograms.
+    pub fn start(wal: Wal, durability: Durability, obs: Arc<Obs>) -> GroupLog {
         let pipe = PipelineMetrics::new(&obs);
         let shared = Arc::new(LogShared {
             state: TrackedMutex::new(LockRank::GroupQueue, LogState::default()),
@@ -348,82 +330,41 @@ impl GroupLog {
             obs,
             pipe,
         });
-        let writer = grouped.then(|| {
+        let writer = {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("udbms-log-writer".into())
                 .spawn(move || writer_loop(&shared))
                 // lint:allow(unwrap): thread-spawn failure at startup is unrecoverable
                 .expect("spawn log-writer thread")
-        });
+        };
         GroupLog {
             shared,
-            writer,
-            grouped,
+            writer: Some(writer),
         }
     }
 
     /// Log one commit. Called with `commit_lock` held, so tickets are
-    /// issued in commit-ts order. Grouped mode enqueues and returns
-    /// immediately (durability is bought later in
-    /// [`GroupLog::wait_durable`]); sync mode does the whole
-    /// write-and-flush here.
+    /// issued in commit-ts order. Enqueues and returns immediately;
+    /// durability is bought later in [`GroupLog::wait_durable`].
     pub fn commit(&self, rec: WalRecord) -> Result<u64> {
-        if self.grouped {
-            let mut st = self.shared.state.lock();
-            if let Some(msg) = &st.error {
-                self.shared.pipe.write_rejected.add(1);
-                return Err(unavailable(st.read_only, msg));
-            }
-            st.queue.push((rec, self.shared.obs.start()));
-            st.enqueued += 1;
-            let seq = st.enqueued;
-            // only Buffered commits need the dedicated writer woken: at
-            // Flush/Fsync this committer is about to park in
-            // wait_durable and will lead the batch itself if nobody
-            // else is draining (waking the thread per enqueue would
-            // cost a futex round-trip on every commit)
-            if self.shared.durability == Durability::Buffered {
-                self.shared.work.notify_one();
-            }
-            Ok(seq)
-        } else {
-            // sync mode still takes state before wal (the engine-wide
-            // lock order) and counts the record as its own batch
-            let mut st = self.shared.state.lock();
-            if let Some(msg) = &st.error {
-                self.shared.pipe.write_rejected.add(1);
-                return Err(unavailable(st.read_only, msg));
-            }
-            let result = {
-                let mut wal = self.shared.wal.lock();
-                self.shared
-                    .write_batch(&mut wal, std::slice::from_ref(&rec))
-            };
-            match result {
-                Ok(()) => {
-                    st.enqueued += 1;
-                    st.durable += 1;
-                    st.batches += 1;
-                    st.appended += 1;
-                    // ORDER: Release pairs with wait_durable's Acquire
-                    // poll (same contract as retire()).
-                    self.shared.durable.store(st.durable, Ordering::Release);
-                    if self.shared.obs.is_enabled() {
-                        self.shared.pipe.batch_records.record(1);
-                    }
-                    self.shared.obs.event("wal_batch", 1, st.durable);
-                    Ok(st.enqueued)
-                }
-                Err(e) => {
-                    // the failing committer gets the same typed error
-                    // later commits will: its record's durability is
-                    // unattested either way
-                    self.shared.poison(&mut st, &e);
-                    Err(unavailable(st.read_only, &e.to_string()))
-                }
-            }
+        let mut st = self.shared.state.lock();
+        if let Some(msg) = &st.error {
+            self.shared.pipe.write_rejected.add(1);
+            return Err(unavailable(st.read_only, msg));
         }
+        st.queue.push((rec, self.shared.obs.start()));
+        st.enqueued += 1;
+        let seq = st.enqueued;
+        // only Buffered commits need the dedicated writer woken: at
+        // Flush/Fsync this committer is about to park in wait_durable
+        // and will lead the batch itself if nobody else is draining
+        // (waking the thread per enqueue would cost a futex round-trip
+        // on every commit)
+        if self.shared.durability == Durability::Buffered {
+            self.shared.work.notify_one();
+        }
+        Ok(seq)
     }
 
     /// Wait until ticket `seq` is durable to the configured level.
@@ -441,7 +382,7 @@ impl GroupLog {
     /// budget, which on a healthy log is rare. The dedicated log writer
     /// still drains batches nobody is waiting on (Buffered commits).
     pub fn wait_durable(&self, seq: u64) -> Result<()> {
-        if !self.grouped || self.shared.durability == Durability::Buffered {
+        if self.shared.durability == Durability::Buffered {
             return Ok(());
         }
         // spin budget before any futex sleep: an in-flight leader's
@@ -516,12 +457,16 @@ impl GroupLog {
     /// after `snapshot`. The whole-database synthetic record is
     /// serialized, written, and fsync'd to the temp file **before**
     /// the queue lock is taken (the collection scan that produced it
-    /// already ran outside any engine-wide lock, too); commits only
-    /// stall for the tail work — drain the queue, filter and append
-    /// the post-snapshot records, rename — which is proportional to
-    /// the log tail, not the database.
+    /// already ran outside any engine-wide lock, too). Commits stall
+    /// for the rest: drain the queue, re-read the live log to pick out
+    /// the post-snapshot records, append them, rename. That re-read
+    /// (`install_rewrite`) parses the *whole* live log, and from the
+    /// second checkpoint on that log starts with the previous
+    /// checkpoint's whole-database record — so the queue-closed phase
+    /// costs the live log's size, which includes the database, not
+    /// just the tail.
     pub fn checkpoint(&self, synthetic: WalRecord, snapshot: Ts) -> Result<()> {
-        // phase 1, no state lock held: the O(database) part
+        // phase 1, no state lock held: serialize the synthetic record
         let (path, faults) = {
             let wal = self.shared.wal.lock();
             (wal.path().to_path_buf(), Arc::clone(wal.faults()))
@@ -530,7 +475,7 @@ impl GroupLog {
         // checkpoint simply didn't happen, no poisoning
         let prepared = Wal::prepare_rewrite(&path, std::slice::from_ref(&synthetic), &faults)?;
 
-        // phase 2, queue closed: the O(log tail) part
+        // phase 2, queue closed: drain, re-read the live log, install
         let mut st = self.shared.state.lock();
         // wait out an in-flight batch (bounded: one batch — or a failed
         // drain, whose poison broadcast also notifies `idle`), then
@@ -584,7 +529,7 @@ impl GroupLog {
         // every commit with ts ≤ snapshot is inside the prepared
         // synthetic record (it was fully installed before the snapshot
         // was taken under commit_lock); later commits ride along as
-        // the tail
+        // the tail. This parses the whole live log, not only the tail.
         let tail: Vec<WalRecord> = Wal::read_all(wal.path())?
             .into_iter()
             .filter(|r| r.commit_ts > snapshot)
@@ -635,8 +580,9 @@ impl Drop for GroupLog {
             self.shared.work.notify_all();
             let _ = handle.join();
         }
-        // the Wal's BufWriter flushes on drop, so a clean shutdown
-        // persists Buffered-level commits too
+        // the writer drained the queue before exiting, so every
+        // Buffered-level commit is in the mapped log, and dropping the
+        // Wal trims the mapping's zero padding
     }
 }
 
@@ -670,12 +616,7 @@ mod tests {
     #[test]
     fn grouped_commits_become_durable_in_order() {
         let path = temp_path("grouped");
-        let log = GroupLog::start(
-            Wal::open(&path).unwrap(),
-            Durability::Flush,
-            true,
-            test_obs(),
-        );
+        let log = GroupLog::start(Wal::open(&path).unwrap(), Durability::Flush, test_obs());
         for ts in 1..=30 {
             let seq = log.commit(rec(ts)).unwrap();
             log.wait_durable(seq).unwrap();
@@ -696,49 +637,20 @@ mod tests {
     #[test]
     fn buffered_commits_survive_clean_shutdown() {
         let path = temp_path("buffered");
-        let log = GroupLog::start(
-            Wal::open(&path).unwrap(),
-            Durability::Buffered,
-            true,
-            test_obs(),
-        );
+        let log = GroupLog::start(Wal::open(&path).unwrap(), Durability::Buffered, test_obs());
         for ts in 1..=10 {
             let seq = log.commit(rec(ts)).unwrap();
             log.wait_durable(seq).unwrap(); // no-op for Buffered
         }
-        drop(log); // shutdown drains the queue and the BufWriter flushes
+        drop(log); // shutdown drains the queue into the log
         assert_eq!(Wal::read_all(&path).unwrap().len(), 10);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn sync_mode_writes_one_batch_per_commit() {
-        let path = temp_path("sync");
-        let log = GroupLog::start(
-            Wal::open(&path).unwrap(),
-            Durability::Flush,
-            false,
-            test_obs(),
-        );
-        for ts in 1..=5 {
-            let seq = log.commit(rec(ts)).unwrap();
-            log.wait_durable(seq).unwrap();
-        }
-        assert_eq!(log.counters(), (5, 5));
-        drop(log);
-        assert_eq!(Wal::read_all(&path).unwrap().len(), 5);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn checkpoint_keeps_records_after_snapshot() {
         let path = temp_path("ckpt");
-        let log = GroupLog::start(
-            Wal::open(&path).unwrap(),
-            Durability::Flush,
-            true,
-            test_obs(),
-        );
+        let log = GroupLog::start(Wal::open(&path).unwrap(), Durability::Flush, test_obs());
         for ts in 1..=6 {
             let seq = log.commit(rec(ts)).unwrap();
             log.wait_durable(seq).unwrap();
@@ -769,7 +681,6 @@ mod tests {
         let log = GroupLog::start(
             Wal::open(&path).unwrap(),
             Durability::Flush,
-            true,
             Arc::clone(&obs),
         );
         for ts in 1..=20 {
@@ -803,7 +714,6 @@ mod tests {
         let log = GroupLog::start(
             Wal::open(&path).unwrap(),
             Durability::Flush,
-            true,
             Arc::clone(&obs),
         );
         for ts in 1..=5 {
@@ -818,43 +728,31 @@ mod tests {
     }
 
     #[test]
-    fn failed_fsync_poisons_the_log_on_both_backends() {
-        // fsyncgate rule, pinned on both backends: one failed fsync and
-        // the log never acks durability again — every later commit gets
+    fn failed_fsync_poisons_the_log() {
+        // fsyncgate rule: one failed fsync and the log never acks
+        // durability again — every later commit gets
         // Error::Unavailable, not a silent retry
-        for mapped in [false, true] {
-            let path = temp_path(if mapped { "poison-m" } else { "poison-b" });
-            let wal = if mapped {
-                Wal::open_mapped(&path).unwrap()
-            } else {
-                Wal::open(&path).unwrap()
-            };
-            wal.faults().fail_once("sync");
-            let log = GroupLog::start(wal, Durability::Fsync, true, test_obs());
-            let seq = log.commit(rec(1)).unwrap();
-            let err = log.wait_durable(seq).unwrap_err();
-            assert!(
-                matches!(err, Error::Unavailable(_)),
-                "mapped={mapped}: {err}"
-            );
-            assert!(err.to_string().contains("wal poisoned"), "{err}");
-            // the sync fault was one-shot, but the poison is sticky:
-            // retrying the fsync is exactly what must never happen
-            for _ in 0..3 {
-                let err = log.commit(rec(2)).unwrap_err();
-                assert!(
-                    matches!(err, Error::Unavailable(_)),
-                    "mapped={mapped}: {err}"
-                );
-                assert!(!err.is_retryable());
-            }
-            assert!(
-                matches!(log.failure(), Some(false)),
-                "poisoned, not read-only"
-            );
-            drop(log);
-            std::fs::remove_file(&path).unwrap();
+        let path = temp_path("poison");
+        let wal = Wal::open(&path).unwrap();
+        wal.faults().fail_once("sync");
+        let log = GroupLog::start(wal, Durability::Fsync, test_obs());
+        let seq = log.commit(rec(1)).unwrap();
+        let err = log.wait_durable(seq).unwrap_err();
+        assert!(matches!(err, Error::Unavailable(_)), "{err}");
+        assert!(err.to_string().contains("wal poisoned"), "{err}");
+        // the sync fault was one-shot, but the poison is sticky:
+        // retrying the fsync is exactly what must never happen
+        for _ in 0..3 {
+            let err = log.commit(rec(2)).unwrap_err();
+            assert!(matches!(err, Error::Unavailable(_)), "{err}");
+            assert!(!err.is_retryable());
         }
+        assert!(
+            matches!(log.failure(), Some(false)),
+            "poisoned, not read-only"
+        );
+        drop(log);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -862,8 +760,11 @@ mod tests {
         let path = temp_path("enospc");
         let wal = Wal::open(&path).unwrap();
         wal.faults().enospc("append.write");
-        let log = GroupLog::start(wal, Durability::Flush, false, test_obs());
-        let err = log.commit(rec(1)).unwrap_err();
+        let log = GroupLog::start(wal, Durability::Flush, test_obs());
+        let err = log
+            .commit(rec(1))
+            .and_then(|seq| log.wait_durable(seq))
+            .unwrap_err();
         assert!(matches!(err, Error::Unavailable(_)), "{err}");
         assert!(err.to_string().contains("read-only"), "{err}");
         assert!(
@@ -883,7 +784,7 @@ mod tests {
         let path = temp_path("broadcast");
         let wal = Wal::open(&path).unwrap();
         wal.faults().fail_sticky("flush");
-        let log = std::sync::Arc::new(GroupLog::start(wal, Durability::Flush, true, test_obs()));
+        let log = std::sync::Arc::new(GroupLog::start(wal, Durability::Flush, test_obs()));
         let outcomes = std::sync::Mutex::new(Vec::new());
         std::thread::scope(|scope| {
             for ts in 1..=8u64 {
@@ -914,7 +815,6 @@ mod tests {
         let log = std::sync::Arc::new(GroupLog::start(
             Wal::open(&path).unwrap(),
             Durability::Flush,
-            true,
             test_obs(),
         ));
         let next_ts = std::sync::atomic::AtomicU64::new(1);

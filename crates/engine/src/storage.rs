@@ -1049,6 +1049,21 @@ mod tests {
     }
 
     #[test]
+    fn integer_keys_beyond_two_pow_53_are_distinct() {
+        // 2^53 and 2^53 + 1 share an f64 image; they are still two keys,
+        // so both are readable and a scan returns both, in order
+        let big = 1i64 << 53;
+        let mut s = Storage::new();
+        s.install(rid(big), Ts(1), some(Value::Int(1)));
+        s.install(rid(big + 1), Ts(2), some(Value::Int(2)));
+        assert_eq!(seen(&s, &rid(big), Ts::MAX), Some(Value::Int(1)));
+        assert_eq!(seen(&s, &rid(big + 1), Ts::MAX), Some(Value::Int(2)));
+        let keys: Vec<Key> = s.scan(C, Ts::MAX).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![Key::int(big), Key::int(big + 1)]);
+        assert_eq!(s.directory_len(C), 2);
+    }
+
+    #[test]
     fn sharded_scan_merges_in_key_order() {
         let s = ShardedStorage::new(8);
         for k in 0..100i64 {

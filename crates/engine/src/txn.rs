@@ -54,9 +54,8 @@ pub enum Durability {
     /// waiting. A crash may lose recently acknowledged commits (a clean
     /// shutdown still flushes everything).
     Buffered,
-    /// Commit waits until its record is written and flushed to the OS
-    /// (survives process crash, not power loss). The default — matches
-    /// the engine's historical per-commit flush behaviour.
+    /// Commit waits until its record is written to the OS page cache
+    /// (survives process crash, not power loss). The default.
     #[default]
     Flush,
     /// Commit waits for `fdatasync` on the log file (survives power

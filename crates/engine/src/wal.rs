@@ -16,6 +16,15 @@
 //! additionally truncates the file to the valid prefix so subsequent
 //! appends start at a record boundary.
 //!
+//! ## Append path
+//!
+//! Appends memcpy into a memory-mapped region of the log file (see
+//! `wal/mapped.rs`): the bytes land in the kernel page cache with no
+//! syscall, so a process crash cannot lose them, and [`Wal::sync_data`]
+//! `fdatasync`s them for power-loss durability. The WAL is therefore
+//! unix-only, like the rest of the toolchain around it (CI runs on
+//! Linux, and the benchmark reads `/proc`).
+//!
 //! ## Locking
 //!
 //! A [`Wal`] is deliberately lock-free itself: `group.rs` owns the one
@@ -32,11 +41,9 @@ use std::sync::Arc;
 use udbms_core::{obj, Error, Key, Result, Ts, TxnId, Value};
 
 pub mod fault;
-#[cfg(unix)]
 mod mapped;
 
 use fault::{Action, FaultPlan};
-#[cfg(unix)]
 use mapped::MmapAppender;
 
 /// One logged commit.
@@ -127,31 +134,23 @@ pub struct PreparedRewrite {
     writer: BufWriter<File>,
 }
 
-/// How a [`Wal`] writes its bytes.
-#[derive(Debug)]
-enum Backend {
-    /// Historical path: `BufWriter` + explicit flush (one `write`
-    /// syscall per flush).
-    Buffered(BufWriter<File>),
-    /// Group-commit path: appends memcpy into an `mmap`'d region — the
-    /// page cache directly, no syscall — with identical process-crash
-    /// durability to a flushed write.
-    #[cfg(unix)]
-    Mapped(MmapAppender),
-}
-
-/// An append-only write-ahead log backed by a file.
+/// An append-only write-ahead log backed by a memory-mapped file.
 #[derive(Debug)]
 pub struct Wal {
     path: PathBuf,
-    backend: Backend,
+    appender: MmapAppender,
     records_written: usize,
     faults: Arc<FaultPlan>,
 }
 
 impl Wal {
-    /// Open (creating or appending to) a WAL file on the buffered
-    /// backend (`BufWriter` + per-flush `write` syscall).
+    /// Open (creating or appending to) a WAL file. Appends go through a
+    /// memory-mapped region: one memcpy into the page cache per record,
+    /// no syscall, the same process-crash durability as a flushed write
+    /// ([`Wal::flush`] only evaluates its fault site; [`Wal::sync_data`]
+    /// reaches the disk). While an append mapping is live the file is
+    /// zero-padded to the mapped capacity: recovery treats the padding
+    /// as a torn tail, and a clean close trims it.
     pub fn open(path: impl AsRef<Path>) -> Result<Wal> {
         Wal::open_with_faults(path, Arc::new(FaultPlan::none()))
     }
@@ -162,50 +161,18 @@ impl Wal {
     pub fn open_with_faults(path: impl AsRef<Path>, faults: Arc<FaultPlan>) -> Result<Wal> {
         let path = path.as_ref().to_path_buf();
         Wal::clean_orphan_tmp(&path)?;
-        let file = OpenOptions::new().create(true).append(true).open(&path)?;
+        let existing = match std::fs::metadata(&path) {
+            Ok(m) => m.len(),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
+            Err(e) => return Err(e.into()),
+        };
+        let appender = MmapAppender::open(&path, existing)?;
         Ok(Wal {
             path,
-            backend: Backend::Buffered(BufWriter::new(file)),
+            appender,
             records_written: 0,
             faults,
         })
-    }
-
-    /// Open a WAL whose appends go through a memory-mapped region: one
-    /// memcpy into the page cache per record, no syscall, same
-    /// process-crash durability as a flushed write ([`Wal::flush`] is a
-    /// no-op; [`Wal::sync_data`] still reaches the disk). While an
-    /// append mapping is live the file is zero-padded to the mapped
-    /// capacity — recovery treats the padding as a torn tail and clean
-    /// shutdown trims it. Falls back to [`Wal::open`] off unix.
-    pub fn open_mapped(path: impl AsRef<Path>) -> Result<Wal> {
-        Wal::open_mapped_with_faults(path, Arc::new(FaultPlan::none()))
-    }
-
-    /// [`Wal::open_mapped`] with a fault-injection plan (see
-    /// [`Wal::open_with_faults`]).
-    pub fn open_mapped_with_faults(path: impl AsRef<Path>, faults: Arc<FaultPlan>) -> Result<Wal> {
-        #[cfg(unix)]
-        {
-            let path = path.as_ref().to_path_buf();
-            Wal::clean_orphan_tmp(&path)?;
-            let existing = match std::fs::metadata(&path) {
-                Ok(m) => m.len(),
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => 0,
-                Err(e) => return Err(e.into()),
-            };
-            let appender = MmapAppender::open(&path, existing)?;
-            Ok(Wal {
-                path,
-                backend: Backend::Mapped(appender),
-                records_written: 0,
-                faults,
-            })
-        }
-        #[cfg(not(unix))]
-        {
-            Wal::open_with_faults(path, faults)
-        }
     }
 
     /// Remove a stale `<log>.tmp` sibling left by a rewrite that died
@@ -254,60 +221,34 @@ impl Wal {
                 // a torn write: exactly `keep` bytes reach the log (and
                 // are made OS-visible, so recovery tests see the tear),
                 // then the device "fails"
-                let torn = &line.as_bytes()[..keep];
-                match &mut self.backend {
-                    Backend::Buffered(w) => {
-                        w.write_all(torn)?;
-                        w.flush()?;
-                    }
-                    #[cfg(unix)]
-                    Backend::Mapped(m) => m.append(torn)?,
-                }
+                self.appender.append(&line.as_bytes()[..keep])?;
                 return Err(injected("append.write", "short write"));
             }
             Action::Crash => return self.crash("append.write"),
             Action::Fail(e) => return Err(e),
         }
-        // mapped capacity growth is its own site: the zero-extension in
-        // remap is where a full disk actually bites on this backend
-        #[cfg(unix)]
-        if let Backend::Mapped(m) = &self.backend {
-            if m.would_grow(line.len()) {
-                self.gate("mapped.remap")?;
-            }
+        // capacity growth is its own site: the zero-extension in remap
+        // is where a full disk actually bites
+        if self.appender.would_grow(line.len()) {
+            self.gate("mapped.remap")?;
         }
-        match &mut self.backend {
-            Backend::Buffered(w) => w.write_all(line.as_bytes())?,
-            #[cfg(unix)]
-            Backend::Mapped(m) => m.append(line.as_bytes())?,
-        }
+        self.appender.append(line.as_bytes())?;
         self.records_written += 1;
         Ok(())
     }
 
-    /// Make appended records OS-owned (survives process crash): a
-    /// `write` syscall on the buffered backend, a no-op on the mapped
-    /// backend (the memcpy already landed in the page cache).
+    /// Make appended records OS-owned (survives process crash). The
+    /// memcpy already landed them in the page cache, so this only
+    /// evaluates the `flush` fault site; it stays a separate step so the
+    /// commit pipeline's stages (and their faults) keep one shape.
     pub fn flush(&mut self) -> Result<()> {
-        self.gate("flush")?;
-        match &mut self.backend {
-            Backend::Buffered(w) => w.flush()?,
-            #[cfg(unix)]
-            Backend::Mapped(_) => {}
-        }
-        Ok(())
+        self.gate("flush")
     }
 
-    /// `fdatasync` the log file (survives power loss). Call after
-    /// [`Wal::flush`] — only flushed bytes can be synced.
+    /// `fdatasync` the log file (survives power loss).
     pub fn sync_data(&mut self) -> Result<()> {
         self.gate("sync")?;
-        match &mut self.backend {
-            Backend::Buffered(w) => w.get_ref().sync_data()?,
-            #[cfg(unix)]
-            Backend::Mapped(m) => m.sync_data()?,
-        }
-        Ok(())
+        self.appender.sync_data()
     }
 
     /// Read every record of a WAL file in order, tolerating a torn tail
@@ -450,7 +391,7 @@ impl Wal {
 
     /// Second phase: append `tail` to the prepared temp file, fsync,
     /// and atomically install it over the log (rename + parent-dir
-    /// fsync), reopening the same backend kind.
+    /// fsync), then map the new file for appends.
     pub fn finish_rewrite(&mut self, prepared: PreparedRewrite, tail: &[WalRecord]) -> Result<()> {
         let PreparedRewrite { tmp, mut writer } = prepared;
         self.gate("rewrite.finish.write")?;
@@ -476,18 +417,10 @@ impl Wal {
             File::open(dir)?.sync_all()?;
         }
         self.gate("rewrite.reopen")?;
-        // reopen the same backend kind over the new file (the old
-        // handle pointed at the now-orphaned inode)
-        self.backend = match &self.backend {
-            Backend::Buffered(_) => Backend::Buffered(BufWriter::new(
-                OpenOptions::new().append(true).open(&self.path)?,
-            )),
-            #[cfg(unix)]
-            Backend::Mapped(_) => {
-                let size = std::fs::metadata(&self.path)?.len();
-                Backend::Mapped(MmapAppender::open(&self.path, size)?)
-            }
-        };
+        // remap the new file (the old mapping pointed at the
+        // now-orphaned inode)
+        let size = std::fs::metadata(&self.path)?.len();
+        self.appender = MmapAppender::open(&self.path, size)?;
         Ok(())
     }
 
@@ -712,47 +645,32 @@ mod tests {
     fn open_cleans_orphaned_rewrite_tmp() {
         // a rewrite that died between prepare and rename leaves a .tmp
         // sibling that was never part of the log; open must remove it
-        for mapped in [false, true] {
-            let path = temp_path(if mapped { "orphan-m" } else { "orphan-b" });
-            let tmp = path.with_extension("tmp");
-            std::fs::write(&path, format!("{}\n", sample(1).to_line())).unwrap();
-            std::fs::write(&tmp, "half-written checkpoint").unwrap();
-            let wal = if mapped {
-                Wal::open_mapped(&path).unwrap()
-            } else {
-                Wal::open(&path).unwrap()
-            };
-            assert!(
-                !tmp.exists(),
-                "orphan tmp removed on open (mapped={mapped})"
-            );
-            drop(wal);
-            // the log itself is untouched
-            assert_eq!(Wal::read_all(&path).unwrap().len(), 1);
-            std::fs::remove_file(&path).unwrap();
-        }
+        let path = temp_path("orphan");
+        let tmp = path.with_extension("tmp");
+        std::fs::write(&path, format!("{}\n", sample(1).to_line())).unwrap();
+        std::fs::write(&tmp, "half-written checkpoint").unwrap();
+        let wal = Wal::open(&path).unwrap();
+        assert!(!tmp.exists(), "orphan tmp removed on open");
+        drop(wal);
+        // the log itself is untouched
+        assert_eq!(Wal::read_all(&path).unwrap().len(), 1);
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn short_write_fault_leaves_recoverable_torn_prefix() {
-        for mapped in [false, true] {
-            let path = temp_path(if mapped { "short-m" } else { "short-b" });
-            let mut wal = if mapped {
-                Wal::open_mapped(&path).unwrap()
-            } else {
-                Wal::open(&path).unwrap()
-            };
-            wal.append(&sample(1)).unwrap();
-            wal.flush().unwrap();
-            wal.faults().short_write("append.write", 7);
-            assert!(wal.append(&sample(2)).is_err(), "mapped={mapped}");
-            drop(wal); // mapped Drop trims padding but keeps the tear
-            let recovery = Wal::recover(&path).unwrap();
-            assert_eq!(recovery.records.len(), 1, "mapped={mapped}");
-            assert_eq!(recovery.records[0].commit_ts, Ts(1));
-            assert!(recovery.was_torn(), "mapped={mapped}");
-            std::fs::remove_file(&path).unwrap();
-        }
+        let path = temp_path("short");
+        let mut wal = Wal::open(&path).unwrap();
+        wal.append(&sample(1)).unwrap();
+        wal.flush().unwrap();
+        wal.faults().short_write("append.write", 7);
+        assert!(wal.append(&sample(2)).is_err());
+        drop(wal); // Drop trims the padding but keeps the tear
+        let recovery = Wal::recover(&path).unwrap();
+        assert_eq!(recovery.records.len(), 1);
+        assert_eq!(recovery.records[0].commit_ts, Ts(1));
+        assert!(recovery.was_torn());
+        std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
@@ -765,11 +683,14 @@ mod tests {
         wal.faults().crash_at("flush", &image);
         wal.append(&sample(2)).unwrap();
         assert!(wal.flush().is_err());
-        // the image holds the pre-fault on-disk state: record 2 was
-        // still in the BufWriter, exactly like a process crash
-        let recs = Wal::read_all(&image).unwrap();
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].commit_ts, Ts(1));
+        // the image holds the on-disk state at the fault: record 2's
+        // memcpy already landed in the page cache, which a process crash
+        // does not lose, so both records are in it, followed by the
+        // mapping's zero padding, which recovery reads as a torn tail
+        let recovery = Wal::scan(&image).unwrap();
+        let tss: Vec<u64> = recovery.records.iter().map(|r| r.commit_ts.0).collect();
+        assert_eq!(tss, vec![1, 2]);
+        assert!(recovery.was_torn(), "the padding is past the last record");
         drop(wal);
         std::fs::remove_file(&path).unwrap();
         std::fs::remove_file(&image).unwrap();

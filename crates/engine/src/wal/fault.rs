@@ -42,9 +42,9 @@ use udbms_core::{Error, Result};
 /// iterates this list; [`FaultPlan::hits`] proves each site is actually
 /// reached.
 pub const SITES: &[&str] = &[
-    // append path (both backends)
+    // append path
     "append.write",
-    // mapped-backend capacity growth (the ENOSPC hot spot)
+    // mapped capacity growth (the ENOSPC hot spot)
     "mapped.remap",
     // flush / fsync path
     "flush",

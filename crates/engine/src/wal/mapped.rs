@@ -1,13 +1,11 @@
-//! Memory-mapped WAL appends (unix only).
+//! Memory-mapped WAL appends.
 //!
 //! Appending through an `mmap`'d region writes straight into the kernel
 //! page cache — no syscall per record — with exactly the durability of
 //! a `write()` + flush: once the memcpy lands, the kernel owns the
 //! dirty page and a process crash cannot lose it (power loss can, which
 //! is what `Durability::Fsync` adds via `fdatasync`, flushing mapped
-//! dirty pages like any others). This is the group-commit log writer's
-//! append path; the historical per-commit path keeps `BufWriter` +
-//! flush, so E8's comparison arm measures the old engine faithfully.
+//! dirty pages like any others). This is the WAL's only append path.
 //!
 //! The mapped file is padded with zeros up to the mapped capacity; a
 //! clean shutdown truncates the padding away, and after a crash the
@@ -169,7 +167,7 @@ impl MmapAppender {
     /// Whether appending `add` more bytes would trigger a capacity
     /// remap. The fault layer treats growth as its own site
     /// (`mapped.remap`): the zero-extension inside [`remap`] is where a
-    /// full disk actually bites on this backend.
+    /// full disk actually bites.
     pub fn would_grow(&self, add: usize) -> bool {
         self.ptr.is_null() || self.len + add > self.cap
     }

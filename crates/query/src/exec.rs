@@ -15,12 +15,12 @@
 //!   borrowed row, skipping the `Env` binding for rejected rows;
 //! * `FOR … [FILTER …] LIMIT o, n` pushes `o + n` into the engine's
 //!   streaming scan so the tail of the collection is never touched;
-//! * `COLLECT` groups through a hash map and folds each aggregate as the
-//!   row is read, keeping member rows only for `INTO`; `RETURN DISTINCT`
-//!   dedups through the same canonical hash.
+//! * `COLLECT` groups through a hash map keyed by the group values and
+//!   folds each aggregate as the row is read, keeping member rows only
+//!   for `INTO`; `RETURN DISTINCT` dedups through a hash set of values
+//!   (`Value`'s `Hash` agrees with its canonical equality).
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use udbms_core::{Error, Key, Result, Value};
@@ -266,13 +266,13 @@ fn collect(
     base: &Env,
     txn: &mut Txn,
 ) -> Result<Vec<Env>> {
-    let mut grouped: HashMap<Canonical<Vec<Value>>, Group> = HashMap::new();
+    let mut grouped: HashMap<Vec<Value>, Group> = HashMap::new();
     for env in rows {
         let mut key = Vec::with_capacity(groups.len());
         for (_, e) in groups {
             key.push(eval(e, &env, txn)?);
         }
-        let group = grouped.entry(Canonical(key)).or_insert_with(|| Group {
+        let group = grouped.entry(key).or_insert_with(|| Group {
             accs: aggregates.iter().map(|(_, f, _)| Acc::new(*f)).collect(),
             members: Vec::new(),
         });
@@ -283,11 +283,11 @@ fn collect(
             group.members.push(env.as_object());
         }
     }
-    let mut grouped: Vec<(Canonical<Vec<Value>>, Group)> = grouped.into_iter().collect();
+    let mut grouped: Vec<(Vec<Value>, Group)> = grouped.into_iter().collect();
     // keys are pairwise unequal, so an unstable sort is deterministic
-    grouped.sort_unstable_by(|(a, _), (b, _)| a.0.cmp(&b.0));
+    grouped.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
     let mut next = Vec::with_capacity(grouped.len());
-    for (Canonical(key), group) in grouped {
+    for (key, group) in grouped {
         // COLLECT starts a fresh scope
         let mut env = base.clone();
         for ((name, _), v) in groups.iter().zip(key) {
@@ -404,67 +404,13 @@ impl Acc {
 /// equality, in output order.
 fn distinct(values: Vec<Value>) -> Vec<Value> {
     let mut seen = HashSet::with_capacity(values.len());
-    let first: Vec<bool> = values
-        .iter()
-        .map(|v| seen.insert(Canonical(std::slice::from_ref(v))))
-        .collect();
+    let first: Vec<bool> = values.iter().map(|v| seen.insert(v)).collect();
     drop(seen);
     values
         .into_iter()
         .zip(first)
         .filter_map(|(v, first)| first.then_some(v))
         .collect()
-}
-
-/// A sequence of values hashed consistently with the canonical equality
-/// `Value` compares by. `Value`'s own `Hash` tells apart integers beyond
-/// 2^53 that compare equal through their `f64` image, so it cannot key a
-/// group or a `DISTINCT` set on its own.
-#[derive(PartialEq, Eq)]
-struct Canonical<T>(T);
-
-impl<T: AsRef<[Value]>> Hash for Canonical<T> {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        for v in self.0.as_ref() {
-            canonical_hash(v, state);
-        }
-    }
-}
-
-/// Hash a value so that canonically equal values hash equally: numbers
-/// by their `f64` image (`-0.0` as `0.0`, every NaN alike), containers
-/// element by element, everything else by `Value`'s own `Hash`.
-fn canonical_hash<H: Hasher>(v: &Value, state: &mut H) {
-    match v {
-        Value::Int(_) | Value::Float(_) => {
-            let f = v.as_float().unwrap_or(0.0);
-            let bits = if f.is_nan() {
-                f64::NAN.to_bits()
-            } else if f == 0.0 {
-                0
-            } else {
-                f.to_bits()
-            };
-            state.write_u8(2);
-            state.write_u64(bits);
-        }
-        Value::Array(items) => {
-            state.write_u8(5);
-            state.write_usize(items.len());
-            for item in items {
-                canonical_hash(item, state);
-            }
-        }
-        Value::Object(fields) => {
-            state.write_u8(6);
-            state.write_usize(fields.len());
-            for (k, item) in fields {
-                k.hash(state);
-                canonical_hash(item, state);
-            }
-        }
-        other => other.hash(state),
-    }
 }
 
 /// Materialize the items a `FOR` iterates, as shared row handles.
@@ -1013,14 +959,17 @@ mod tests {
         assert_eq!(fold(AggFunc::Max, &float_first), exact(&int));
     }
 
-    /// Canonically equal values hash alike, including integers past
-    /// 2^53 that are equal only through their `f64` image.
+    /// Canonically equal values hash alike under `Value`'s own `Hash`,
+    /// which is what `COLLECT` and `DISTINCT` key their hash maps by;
+    /// integers past 2^53 are not equal merely for sharing an `f64`
+    /// image.
     #[test]
     fn canonical_hash_agrees_with_canonical_equality() {
         use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
         let hash = |v: &Value| {
             let mut h = DefaultHasher::new();
-            Canonical(std::slice::from_ref(v)).hash(&mut h);
+            v.hash(&mut h);
             h.finish()
         };
         let big = 1i64 << 53;
@@ -1028,8 +977,8 @@ mod tests {
             (Value::Int(2), Value::Float(2.0)),
             (Value::Int(0), Value::Float(-0.0)),
             (Value::Float(f64::NAN), Value::Float(-f64::NAN)),
-            (Value::Int(big), Value::Int(big + 1)),
-            (Value::Int(i64::MAX), Value::Float(i64::MAX as f64)),
+            (Value::Int(big), Value::Float(big as f64)),
+            (Value::Int(i64::MIN), Value::Float(i64::MIN as f64)),
             (
                 Value::Array(vec![Value::Int(1), Value::from("a")]),
                 Value::Array(vec![Value::Float(1.0), Value::from("a")]),
@@ -1042,6 +991,15 @@ mod tests {
         for (a, b) in &pairs {
             assert_eq!(a, b, "the pair is canonically equal");
             assert_eq!(hash(a), hash(b), "{a:?} and {b:?} must hash alike");
+        }
+        let unequal = [
+            (Value::Int(big), Value::Int(big + 1)),
+            (Value::Int(big + 1), Value::Float(big as f64)),
+            (Value::Int(i64::MAX), Value::Float(i64::MAX as f64)),
+        ];
+        for (a, b) in &unequal {
+            assert_ne!(a, b, "{a:?} and {b:?} are different numbers");
+            assert_ne!(hash(a), hash(b), "{a:?} and {b:?} hash apart");
         }
         assert_ne!(hash(&Value::Int(1)), hash(&Value::from("1")));
     }

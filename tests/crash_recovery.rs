@@ -135,40 +135,157 @@ fn replay_after_truncation_is_shard_count_independent() {
 #[test]
 fn every_durability_level_survives_clean_restart() {
     for (i, durability) in Durability::ALL.into_iter().enumerate() {
-        for group_commit in [true, false] {
-            let path = temp_wal(&format!("level-{i}-{group_commit}"));
-            {
-                let engine = Engine::with_wal_config(
-                    &path,
-                    EngineConfig {
-                        shards: 4,
-                        durability,
-                        group_commit,
-                        ..EngineConfig::default()
-                    },
-                )
+        let path = temp_wal(&format!("level-{i}"));
+        {
+            let engine = Engine::with_wal_config(
+                &path,
+                EngineConfig {
+                    shards: 4,
+                    durability,
+                    ..EngineConfig::default()
+                },
+            )
+            .unwrap();
+            engine
+                .create_collection(CollectionSchema::key_value("ns"))
                 .unwrap();
+            for k in 0..50i64 {
                 engine
-                    .create_collection(CollectionSchema::key_value("ns"))
+                    .run(Isolation::Snapshot, |t| {
+                        t.put("ns", Key::int(k), Value::Int(k))
+                    })
                     .unwrap();
-                for k in 0..50i64 {
-                    engine
-                        .run(Isolation::Snapshot, |t| {
-                            t.put("ns", Key::int(k), Value::Int(k))
-                        })
-                        .unwrap();
+            }
+        }
+        let engine = Engine::with_wal(&path).unwrap();
+        let mut t = engine.begin(Isolation::Snapshot);
+        assert_eq!(t.scan("ns").unwrap().len(), 50, "{durability}");
+        drop(t);
+        drop(engine);
+        std::fs::remove_file(&path).unwrap();
+    }
+}
+
+/// Recover a copy of `image` at `shards` shards and return the value of
+/// every key the recovered engine holds in `ns`, keyed by key.
+fn recover_copy(image: &PathBuf, shards: usize, label: &str) -> Vec<(i64, i64)> {
+    let copy = temp_wal(label);
+    std::fs::copy(image, &copy).unwrap();
+    let engine = Engine::with_wal_config(&copy, config(shards)).expect("recover live-log copy");
+    // a copy taken before the first commit has nothing to auto-register
+    let _ = engine.create_collection(CollectionSchema::key_value("ns"));
+    let mut t = engine.begin(Isolation::Snapshot);
+    let rows = t
+        .scan("ns")
+        .unwrap()
+        .into_iter()
+        .map(|(k, v)| {
+            let key = k.value().as_int().expect("int key");
+            (key, v.as_int().expect("int value"))
+        })
+        .collect();
+    drop(t);
+    drop(engine);
+    std::fs::remove_file(&copy).unwrap();
+    rows
+}
+
+/// The durability contract on the live mapped log: a copy of the WAL
+/// file taken while the engine is still open — no clean shutdown, so
+/// the mapping's zero padding is still in the file — recovers every
+/// commit whose `commit()` had returned Ok before the copy began, at
+/// `Flush` and `Fsync`, with concurrent committers, at any shard
+/// count. Each client's recovered commits are a prefix of its own
+/// commit sequence.
+#[test]
+fn acked_commits_are_in_the_live_log() {
+    const CLIENTS: i64 = 2;
+    const PER_CLIENT: i64 = 60;
+    for durability in [Durability::Flush, Durability::Fsync] {
+        let path = temp_wal(&format!("live-{durability}"));
+        let mid_image = temp_wal(&format!("live-{durability}-mid"));
+        let end_image = temp_wal(&format!("live-{durability}-end"));
+        let engine = Engine::with_wal_config(
+            &path,
+            EngineConfig {
+                durability,
+                ..config(4)
+            },
+        )
+        .unwrap();
+        engine
+            .create_collection(CollectionSchema::key_value("ns"))
+            .unwrap();
+        // keys acknowledged so far, appended right after commit returns
+        let acked = std::sync::Mutex::new(Vec::<i64>::new());
+        let mid_acked = std::thread::scope(|s| {
+            for client in 0..CLIENTS {
+                let engine = engine.clone();
+                let acked = &acked;
+                s.spawn(move || {
+                    for i in 0..PER_CLIENT {
+                        let key = client * 1000 + i;
+                        let mut t = engine.begin(Isolation::Snapshot);
+                        t.put("ns", Key::int(key), Value::Int(key)).unwrap();
+                        t.commit().unwrap();
+                        acked.lock().unwrap().push(key);
+                    }
+                });
+            }
+            // copy while both clients are still committing
+            while acked.lock().unwrap().len() < (CLIENTS * PER_CLIENT / 3) as usize {
+                std::thread::yield_now();
+            }
+            let before_copy = acked.lock().unwrap().clone();
+            std::fs::copy(&path, &mid_image).unwrap();
+            before_copy
+        });
+        // every client is done, the engine is still open
+        let all_acked = acked.into_inner().unwrap();
+        assert_eq!(all_acked.len(), (CLIENTS * PER_CLIENT) as usize);
+        std::fs::copy(&path, &end_image).unwrap();
+        let scan = Wal::scan(&end_image).unwrap();
+        assert!(
+            scan.was_torn(),
+            "{durability}: the live copy carries padding"
+        );
+        let bytes = std::fs::read(&end_image).unwrap();
+        assert!(
+            bytes[scan.valid_bytes as usize..].iter().all(|b| *b == 0),
+            "{durability}: past the records there is only zero padding"
+        );
+
+        for (image, must_have) in [(&mid_image, &mid_acked), (&end_image, &all_acked)] {
+            for shards in [1usize, 8] {
+                let label = format!("live-{durability}-{shards}-copy");
+                let rows = recover_copy(image, shards, &label);
+                let keys: Vec<i64> = rows.iter().map(|(k, _)| *k).collect();
+                for key in must_have {
+                    assert!(
+                        keys.contains(key),
+                        "{durability}, {shards} shard(s): acked commit {key} lost"
+                    );
+                }
+                for (key, value) in &rows {
+                    assert_eq!(key, value, "{durability}: recovered value of {key}");
+                }
+                for client in 0..CLIENTS {
+                    let mine: Vec<i64> = keys
+                        .iter()
+                        .filter(|k| **k / 1000 == client)
+                        .map(|k| k % 1000)
+                        .collect();
+                    let prefix: Vec<i64> = (0..mine.len() as i64).collect();
+                    assert_eq!(
+                        mine, prefix,
+                        "{durability}: client {client}'s commits recover as a prefix"
+                    );
                 }
             }
-            let engine = Engine::with_wal(&path).unwrap();
-            let mut t = engine.begin(Isolation::Snapshot);
-            assert_eq!(
-                t.scan("ns").unwrap().len(),
-                50,
-                "{durability} group_commit={group_commit}"
-            );
-            drop(t);
-            drop(engine);
-            std::fs::remove_file(&path).unwrap();
+        }
+        drop(engine);
+        for p in [&path, &mid_image, &end_image] {
+            std::fs::remove_file(p).unwrap();
         }
     }
 }
